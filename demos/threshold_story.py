@@ -3,8 +3,9 @@
 Large balls of field are ever cheaper per unit charge, but charging them
 costs Coulomb energy that grows faster with radius.  This script sweeps
 explicit trial states to watch the two effects compete, calibrates the
-closed-form bound on the energy-to-charge ratio, and bisects for the
-largest coupling at which some trial state still beats the mass.
+closed-form bound on the energy-to-charge ratio, and computes the
+largest coupling at which some trial state still beats the mass in
+closed form: each trial ratio is exactly quadratic in the coupling.
 """
 
 from qball.fields import RadialGrid
@@ -28,10 +29,10 @@ print("\nuncharged, bigger is always better; with charge, the Coulomb")
 print("cost grows like R^5 and flips the verdict at large R.\n")
 
 report = q_threshold(spec, grid)
-print(f"bisected coupling threshold: q_bar_est = {report.q_bar_est:.4f}")
+print(f"closed-form coupling threshold: q_bar_est = {report.q_bar_est:.4f}")
 print(f"  best ratio there {report.best_ratio:.4f} at R = {report.best_R:g}")
 print(f"  calibrated constants c1 = {report.c1:.4f}, c6 = {report.c6:.4f}")
 print(f"  closed-form scale (c/s_bar) sqrt((m-alpha)^3 alpha) = "
       f"{report.analytic_scale:.4f}")
 print("\nbelow q_bar_est some trial state is hylomorphic, so a bound")
-print("minimizer exists; the analytic scale tracks the bisected value.")
+print("minimizer exists; the analytic scale tracks the closed-form value.")

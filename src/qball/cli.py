@@ -29,7 +29,7 @@ from .hylomorphy import (
     ratio_bound,
     ratio_sweep,
 )
-from .fields import FieldState, RadialGrid
+from .fields import RadialGrid
 from .solver import (
     ChargeCollapseError,
     ConvergenceError,
@@ -332,15 +332,6 @@ def _write_csv(path, names, rows):
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _spec_payload(spec):
-    return dict(name=spec.name, m=spec.m, s_bar=spec.s_bar,
-                a=spec.a, b=spec.b)
-
-
-def _opts_payload(opts):
-    return dataclasses.asdict(opts)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies (each writes into the staging directory)
 
@@ -387,29 +378,29 @@ def _run_threshold(cfg, stage):
     items = sorted(dataclasses.asdict(report).items())
     _write_report(os.path.join(stage, "threshold.txt"), items)
     print(f"threshold: q_bar_est={report.q_bar_est:.6g} "
-          f"(ceiling {report.q_ceiling:g}, {report.bisect_iters} bisections)")
+          f"(closed form, bracket width {report.bisect_rel_width:.1e})")
 
 
-def _solve_point(payload):
-    """Worker: solve one sweep point from primitives; returns a row dict."""
-    spec = PotentialSpec(**payload["spec"])
-    grid = RadialGrid(payload["r_max"], payload["n"])
-    opts = SolveOptions(**payload["opts"])
-    q, kind, value = payload["q"], payload["kind"], payload["value"]
+def _solve_point(point):
+    """Worker: solve one sweep point; returns (q, kind, value, profile, error)."""
+    spec, grid, opts, q, kind, value = point
     try:
         if kind == "omega":
             prof = solve_profile(spec, value, q, grid, opts)
         else:
             prof = minimize_J(spec, q, value, descent_seed(spec, q, grid),
                               opts=opts)
+            # a stalled descent keeps its point: J sits at its roundoff
+            # floor, and its residual is not lowered by further descent
+            if (not prof.flow_stalled
+                    and max(prof.res1, prof.res2) > opts.flow_res_tol):
+                return q, kind, value, None, (
+                    f"descent stopped after {prof.flow_iters} iterations, "
+                    f"res1={prof.res1:.6g} res2={prof.res2:.6g} above "
+                    f"flow_res_tol={opts.flow_res_tol:g}")
     except (ValueError, ConvergenceError, ChargeCollapseError) as exc:
-        return dict(q=q, kind=kind, value=value, error=str(exc))
-    return dict(q=q, kind=kind, value=value, error=None,
-                E=prof.E, C=prof.C, Lambda=prof.Lambda,
-                res1=prof.res1, res2=prof.res2, u0=prof.u0,
-                u=prof.state.u, u_hat=prof.state.u_hat,
-                theta=prof.state.theta, Theta=prof.state.Theta,
-                E_r=prof.state.E_r, omega=prof.omega)
+        return q, kind, value, None, str(exc)
+    return q, kind, value, prof, None
 
 
 def _fan_out(fn, payloads, workers):
@@ -420,35 +411,27 @@ def _fan_out(fn, payloads, workers):
 
 
 def _run_solve(cfg, stage):
-    payloads = []
-    for q in cfg.q_values:
-        for w in cfg.omega_list:
-            payloads.append(dict(spec=_spec_payload(cfg.spec),
-                                 r_max=cfg.r_max, n=cfg.n,
-                                 opts=_opts_payload(cfg.solve_opts),
-                                 q=q, kind="omega", value=w))
-        for d in cfg.delta_list:
-            payloads.append(dict(spec=_spec_payload(cfg.spec),
-                                 r_max=cfg.r_max, n=cfg.n,
-                                 opts=_opts_payload(cfg.solve_opts),
-                                 q=q, kind="delta", value=d))
-    results = _fan_out(_solve_point, payloads, cfg.workers)
-    results.sort(key=lambda r: (r["q"], r["kind"], r["value"]))
-
     grid = cfg.grid()
+    points = [(cfg.spec, grid, cfg.solve_opts, q, kind, value)
+              for q in cfg.q_values
+              for kind, values in (("omega", cfg.omega_list),
+                                   ("delta", cfg.delta_list))
+              for value in values]
+    results = sorted(_fan_out(_solve_point, points, cfg.workers),
+                     key=lambda r: r[:3])
+
     rows = []
     failures = []
-    for r in results:
-        if r["error"] is not None:
-            failures.append((r["kind"], r["value"], r["q"], r["error"]))
+    for q, kind, value, prof, error in results:
+        if error is not None:
+            failures.append((kind, value, q, error))
             continue
-        rows.append((r["q"], r["kind"], r["value"], r["E"], r["C"],
-                     r["Lambda"], r["res1"], r["res2"], r["u0"]))
-        st = FieldState(grid, r["u"], r["u_hat"], r["theta"], r["Theta"],
-                        r["E_r"], r["q"])
-        name = f"profile_{r['kind']}{r['value']:g}_q{r['q']:g}.txt"
-        st.save(os.path.join(stage, name), m=cfg.spec.m, omega=r["omega"],
-                delta=r["value"] if r["kind"] == "delta" else None)
+        rows.append((q, kind, value, prof.E, prof.C, prof.Lambda,
+                     prof.res1, prof.res2, prof.u0))
+        name = f"profile_{kind}{value:g}_q{q:g}.txt"
+        prof.state.save(os.path.join(stage, name), m=cfg.spec.m,
+                        omega=prof.omega,
+                        delta=value if kind == "delta" else None)
     _write_csv(os.path.join(stage, "sweep.csv"),
                ("q", "mode", "omega_or_delta", "E", "C", "Lambda",
                 "res1", "res2", "u0"), rows)
@@ -463,60 +446,48 @@ def _run_solve(cfg, stage):
         print(f"  failed {kind}={value:g} q={q:g}: {reason}")
 
 
-def _evolve_run(payload):
-    """Worker: solve, lift, perturb, evolve one run; returns trace arrays."""
-    spec = PotentialSpec(**payload["spec"])
-    grid = RadialGrid(payload["r_max"], payload["n"])
-    opts = SolveOptions(**payload["opts"])
-    prof = solve_profile(spec, payload["omega"], payload["q"], grid, opts)
-    base = lift_profile(prof, spec)
-    start = perturb(base, payload["mode"], payload["eps"], payload["seed"])
-    trace = evolve(start, payload["T"], payload["dt"],
-                   payload["sample_every"], reference=base)
-    norm = float(np.sqrt(dyn_norm_sq(base)))
-    return dict(name=payload["name"], mode=payload["mode"],
-                eps=payload["eps"], norm=norm, e0=trace.e0, c0=trace.c0,
-                columns=trace.columns())
+def _evolve_run(run):
+    """Worker: perturb the lifted profile and evolve one run."""
+    base, name, mode, eps, seed, T, dt, sample_every = run
+    start = perturb(base, mode, eps, seed)
+    return name, eps, evolve(start, T, dt, sample_every, reference=base)
 
 
 def _run_evolve(cfg, stage):
     q = cfg.q_values[0]
     omega = cfg.omega_list[0]
-    common = dict(spec=_spec_payload(cfg.spec), r_max=cfg.r_max, n=cfg.n,
-                  opts=_opts_payload(cfg.solve_opts), q=q, omega=omega,
-                  T=cfg.T, dt=cfg.dt, sample_every=cfg.sample_every)
-    payloads = [dict(common, mode="amplitude", eps=0.0, seed=cfg.seed,
-                     name="unperturbed")]
-    run_index = 1
+    prof = solve_profile(cfg.spec, omega, q, cfg.grid(), cfg.solve_opts)
+    base = lift_profile(prof, cfg.spec)
+    norm = float(np.sqrt(dyn_norm_sq(base)))
+    common = (cfg.T, cfg.dt, cfg.sample_every)
+    runs = [(base, "unperturbed", "amplitude", 0.0, cfg.seed) + common]
     for mode in cfg.modes:
         for eps in cfg.eps_list:
             if eps == 0.0:
                 continue
-            payloads.append(dict(common, mode=mode, eps=eps,
-                                 seed=cfg.seed + run_index,
-                                 name=f"{mode}_eps{eps:g}"))
-            run_index += 1
-    results = _fan_out(_evolve_run, payloads, cfg.workers)
-    results.sort(key=lambda r: r["name"])
+            runs.append((base, f"{mode}_eps{eps:g}", mode, eps,
+                         cfg.seed + len(runs)) + common)
+    results = sorted(_fan_out(_evolve_run, runs, cfg.workers),
+                     key=lambda r: r[0])
 
     summary = [("q", q), ("omega", omega), ("T", cfg.T),
                ("n_runs", len(results))]
-    for r in results:
-        cols = r["columns"]
+    for name, eps, trace in results:
+        cols = trace.columns()
         rows = zip(*(cols[k] for k in TRACE_COLUMNS))
-        _write_csv(os.path.join(stage, f"trace_{r['name']}.csv"),
+        _write_csv(os.path.join(stage, f"trace_{name}.csv"),
                    TRACE_COLUMNS, rows)
         dmax = float(np.max(cols["d"]))
-        if r["eps"] > 0.0:
-            ratio = dmax / (r["eps"] * r["norm"])
+        if eps > 0.0:
+            ratio = dmax / (eps * norm)
             label = classify_ratio(ratio)
         else:
             ratio = 0.0
             label = "stable-like"
-        summary += [(f"{r['name']}_max_distance", dmax),
-                    (f"{r['name']}_ratio", ratio),
-                    (f"{r['name']}_classification", label)]
-        print(f"evolve: {r['name']} max distance {dmax:.6g} "
+        summary += [(f"{name}_max_distance", dmax),
+                    (f"{name}_ratio", ratio),
+                    (f"{name}_classification", label)]
+        print(f"evolve: {name} max distance {dmax:.6g} "
               f"ratio {ratio:.3g} -> {label}")
     _write_report(os.path.join(stage, "evolve.txt"), summary)
 
@@ -526,7 +497,7 @@ _DISPATCH = {
                          _run_check_potential)],
     "hylomorphy": [("hylomorphy", "ratio_sweep", _run_hylomorphy)],
     "threshold": [("hylomorphy", "q_threshold", _run_threshold)],
-    "solve": [("solver", "family_sweep", _run_solve)],
+    "solve": [("solver", "solve_profile", _run_solve)],
     "evolve": [("dynamics", "evolve", _run_evolve)],
 }
 _DISPATCH["all"] = (_DISPATCH["check-potential"] + _DISPATCH["hylomorphy"]

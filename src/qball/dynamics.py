@@ -59,22 +59,6 @@ class DynState:
     sponge_flux: float = 0.0
 
     @property
-    def psi_re(self):
-        return self.psi.real
-
-    @property
-    def psi_im(self):
-        return self.psi.imag
-
-    @property
-    def pi_re(self):
-        return self.pi.real
-
-    @property
-    def pi_im(self):
-        return self.pi.imag
-
-    @property
     def d_t_psi(self):
         """Gauge-covariant time derivative pi + i q phi psi."""
         if self.q == 0.0:

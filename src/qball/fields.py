@@ -51,6 +51,20 @@ class RadialGrid:
         rm = np.maximum(self.r - 0.5 * self.dr, 0.0)
         self._rp2 = rp ** 2
         self._rm2 = rm ** 2
+        # the same stencil as tridiagonal bands (lower, diag, upper), with
+        # the regularized origin row; row n-1 omits the zero ghost
+        denom = self.dr * self.dr * self.r[1:] * self.r[1:]
+        lower = np.zeros(self.n)
+        diag = np.zeros(self.n)
+        upper = np.zeros(self.n)
+        lower[1:] = self._rm2[1:] / denom
+        upper[1:] = self._rp2[1:] / denom
+        diag[1:] = -(lower[1:] + upper[1:])
+        diag[0] = -6.0 / self.dr ** 2
+        upper[0] = 6.0 / self.dr ** 2
+        for band in (lower, diag, upper):
+            band.flags.writeable = False
+        self.lap_bands = (lower, diag, upper)
         # cell coefficients for cumulative charge integrals:
         # int_{r_{i-1}}^{r_i} s v^2 dv ~ (s_i + s_{i-1}) * (r_i^3 - r_{i-1}^3)/6
         r3 = self.r ** 3
@@ -225,6 +239,31 @@ def cumulative_charge(source, grid):
     return np.cumsum(dq)
 
 
+def cumulative_charge_adjoint(g, grid):
+    """Partials d/d source_j of sum_i g_i Q_i, with Q = cumulative_charge(source)."""
+    rev = np.cumsum(g[::-1])[::-1]
+    ds = grid.cell_c * rev
+    ds[:-1] += grid.cell_c[1:] * rev[1:]
+    return ds
+
+
+def gauss_field(source, grid):
+    """Enclosed charge Q and radial field E = Q/r^2 of a source; E(0) = 0."""
+    q_cum = cumulative_charge(source, grid)
+    e = np.zeros(grid.n)
+    e[1:] = q_cum[1:] / grid.r[1:] ** 2
+    return q_cum, e
+
+
+def _integrate_inward(e, phi_out, grid):
+    """phi with phi(r_max) = phi_out and phi' = -e, by the trapezoid rule inward."""
+    phi = np.empty(grid.n)
+    phi[-1] = phi_out
+    steps = 0.5 * grid.dr * (e[:-1] + e[1:])
+    phi[:-1] = phi[-1] + np.cumsum(steps[::-1])[::-1]
+    return phi
+
+
 def solve_poisson(source, grid, warn_tol=1e-6):
     """Solve (1/r^2)(r^2 phi')' = -source, phi'(0) = 0, Coulomb tail at r_max.
 
@@ -242,25 +281,14 @@ def solve_poisson(source, grid, warn_tol=1e-6):
         import warnings
         warnings.warn("Poisson source does not decay by r_max; "
                       "the Coulomb-tail boundary condition is inaccurate")
-    q_cum = cumulative_charge(source, grid)
-    e = np.zeros(grid.n)
-    e[1:] = q_cum[1:] / grid.r[1:] ** 2
-    phi = np.empty(grid.n)
-    phi[-1] = q_cum[-1] / grid.r_max
-    # phi_i = phi_{i+1} + (dr/2)(E_i + E_{i+1}), accumulated inward
-    steps = 0.5 * grid.dr * (e[:-1] + e[1:])
-    phi[:-1] = phi[-1] + np.cumsum(steps[::-1])[::-1]
-    return phi, -e
+    q_cum, e = gauss_field(source, grid)
+    return _integrate_inward(e, q_cum[-1] / grid.r_max, grid), -e
 
 
 def potential_from_field(dphi, grid):
     """Integrate phi' = dphi inward with the Coulomb value at r_max."""
     e = -np.asarray(dphi, dtype=float)
-    phi = np.empty(grid.n)
-    phi[-1] = e[-1] * grid.r_max
-    steps = 0.5 * grid.dr * (e[:-1] + e[1:])
-    phi[:-1] = phi[-1] + np.cumsum(steps[::-1])[::-1]
-    return phi
+    return _integrate_inward(e, e[-1] * grid.r_max, grid)
 
 
 def gauss_residual(state):

@@ -9,10 +9,11 @@ energy-to-charge ratio obeys the closed-form estimate
 where c1 and c6 are calibrated operationally as the smallest constants
 that make the inequality tight over a reference (R, q) sweep.  Driving
 the directly computed ratio below the mass parameter m certifies that
-bound states are energetically possible; bisection on q of that verdict
-locates the coupling threshold q_bar, alongside the analytic scale
-(c/s_bar) sqrt((m-alpha)^3 alpha) implied by the calibrated constants
-through the optimal choice R = c1/(alpha eps), eps = (m-alpha)/2.
+bound states are energetically possible.  The ratio is exactly quadratic
+in q, which puts the coupling threshold q_bar in closed form, alongside
+the analytic scale (c/s_bar) sqrt((m-alpha)^3 alpha) implied by the
+calibrated constants through the optimal choice R = c1/(alpha eps),
+eps = (m-alpha)/2.
 """
 
 import dataclasses
@@ -24,6 +25,9 @@ from .potential import hylomorphy_constants
 
 DEFAULT_R_LIST = (2.0, 5.0, 10.0, 20.0, 40.0)
 CALIBRATION_Q = (0.0, 1e-3, 1e-2)
+# ratio margin, in units of m, by which the threshold bracket must clear m;
+# the sweep is quadratic in q to within 5e-14 on the presets measured
+THRESHOLD_MARGIN = 1e-13
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
@@ -210,51 +214,48 @@ def calibrate_constants(spec, grid, r_list=None, q_list=CALIBRATION_Q,
     return c1, c6
 
 
-def q_threshold(spec, grid, r_list=None, rel_tol=0.01, max_iter=40):
-    """Bisect the coupling q for the verdict min_R E/|C| < m.
+def q_threshold(spec, grid, r_list=None):
+    """Closed-form coupling threshold for the verdict min_R E/|C| < m.
 
-    Returns a HylomorphyReport carrying the largest verified coupling
-    q_bar_est, the calibrated (c1, c6), and the analytic threshold scale
-    (c/s_bar) sqrt((m-alpha)^3 alpha) with c = 1/(c1 sqrt(8 c6)).
+    The Coulomb field of a trial state is linear in q, so its ratio is
+    exactly A_R + q^2 B_R, with A_R read off a q = 0 sweep and B_R off a
+    q = 1 sweep; the threshold is q_bar = max_R sqrt((m - A_R)/B_R).
+    Returns a HylomorphyReport whose bracket q_bar_est < q_bar < q_ceiling
+    is verified by direct evaluation on both sides, with the calibrated
+    (c1, c6) and the analytic threshold scale (c/s_bar)
+    sqrt((m-alpha)^3 alpha) with c = 1/(c1 sqrt(8 c6)).
     """
     alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
     c1, c6 = calibrate_constants(spec, grid, r_list, alpha=alpha, s_bar=s_bar)
-
-    def best(q):
-        return estimate_lambda_star(spec, q, grid, r_list, alpha, s_bar)
-
-    ratio0, R0 = best(0.0)
-    if not ratio0 < spec.m:
+    a = np.array(ratio_sweep(spec, 0.0, grid, r_list, alpha, s_bar))[:, 1]
+    b = np.array(ratio_sweep(spec, 1.0, grid, r_list, alpha, s_bar))[:, 1] - a
+    if not a.min() < spec.m:
         raise InconsistentSetupError(
-            f"trial ratio {ratio0:.6g} is not below m even at q = 0")
-
-    q_hi = 1.0
-    while best(q_hi)[0] < spec.m:
-        q_hi *= 2.0
-        if q_hi > 2.0 ** 40:
-            raise InconsistentSetupError("no finite sweep ceiling found")
-    q_ceiling = q_hi
-    q_lo = 0.0
-    iters = 0
-    while q_hi - q_lo > rel_tol * q_hi and iters < max_iter:
-        q_mid = 0.5 * (q_lo + q_hi)
-        if best(q_mid)[0] < spec.m:
-            q_lo = q_mid
-        else:
-            q_hi = q_mid
-        iters += 1
+            f"trial ratio {a.min():.6g} is not below m even at q = 0")
+    reach = np.where(a < spec.m, (spec.m - a) / b, -np.inf)
+    k = int(np.argmax(reach))
+    q_bar = float(np.sqrt(reach[k]))
+    # step off q_bar far enough that the ratio clears m by a margin well
+    # above the roundoff of the sweep (its slope in q_bar is 2 (m - A_R))
+    eps = THRESHOLD_MARGIN * spec.m / (2.0 * (spec.m - a[k]))
+    q_lo, q_hi = q_bar * (1.0 - eps), q_bar * (1.0 + eps)
+    ratio, best_R = estimate_lambda_star(spec, q_lo, grid, r_list, alpha, s_bar)
+    ceiling, _ = estimate_lambda_star(spec, q_hi, grid, r_list, alpha, s_bar)
+    if not ratio < spec.m <= ceiling:
+        raise InconsistentSetupError(
+            f"closed-form threshold {q_bar:.17g} is not confirmed by the "
+            "sweep; the trial ratio is not quadratic in q")
 
     scale_c = 1.0 / (c1 * np.sqrt(8.0 * c6)) if c6 > 0 else None
     analytic = (scale_c / s_bar * np.sqrt((spec.m - alpha) ** 3 * alpha)
                 if scale_c is not None else None)
-    ratio, best_R = best(q_lo)
     return HylomorphyReport(
         lambda0_bound=spec.m, best_ratio=ratio, best_R=best_R,
         bound_at_best=ratio_bound(alpha, s_bar, q_lo, best_R, c1, c6),
-        c1=c1, c6=c6, hylomorphic=ratio < spec.m,
+        c1=c1, c6=c6, hylomorphic=True,
         q_bar_est=q_lo, analytic_scale=analytic, scale_c=scale_c,
-        alpha=alpha, s_bar=s_bar, q=q_lo, q_ceiling=q_ceiling,
-        bisect_iters=iters, bisect_rel_width=(q_hi - q_lo) / q_hi)
+        alpha=alpha, s_bar=s_bar, q=q_lo, q_ceiling=q_hi,
+        bisect_iters=0, bisect_rel_width=(q_hi - q_lo) / q_hi)
 
 
 def hylomorphy_report(spec, q, grid, r_list=None):

@@ -22,8 +22,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .fields import (FieldState, functionals, gauss_residual,
-                     potential_from_field, solve_poisson)
+from .fields import (FieldState, cumulative_charge_adjoint, functionals,
+                     gauss_field, gauss_residual, potential_from_field,
+                     solve_poisson)
 
 DEFAULT_OMEGA_LIST = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
@@ -78,28 +79,12 @@ class SolitonProfile:
     delta: float | None = None   # set when produced by the descent route
     fit_residual: float | None = None
     flow_iters: int | None = None
-
-
-def _laplacian_bands(grid):
-    """Tridiagonal coefficients (lower, diag, upper) of the radial Laplacian."""
-    r, dr = grid.r, grid.dr
-    lower = np.zeros(grid.n)
-    upper = np.zeros(grid.n)
-    diag = np.zeros(grid.n)
-    rp = r[1:] + 0.5 * dr
-    rm = r[1:] - 0.5 * dr
-    denom = dr * dr * r[1:] * r[1:]
-    lower[1:] = rm * rm / denom
-    upper[1:] = rp * rp / denom
-    diag[1:] = -(lower[1:] + upper[1:])
-    diag[0] = -6.0 / dr ** 2
-    upper[0] = 6.0 / dr ** 2
-    return lower, diag, upper
+    flow_stalled: bool | None = None  # descent stopped on a stalled J
 
 
 def _screened_system(u, omega, q, grid):
     """Banded matrix and right side for -lap phi + q^2 u^2 phi = q omega u^2."""
-    lower, diag, upper = _laplacian_bands(grid)
+    lower, diag, upper = grid.lap_bands
     a_low = -lower
     a_diag = -diag + q * q * u * u
     a_up = -upper
@@ -279,7 +264,7 @@ def _march(spec, omega, q, phi, grid, u0_vec, record=False):
 def newton_polish(spec, omega, phi, q, grid, u, opts=None):
     """Drive the discrete profile equation to tolerance from a nearby guess."""
     opts = opts or SolveOptions()
-    lower, diag, upper = _laplacian_bands(grid)
+    lower, diag, upper = grid.lap_bands
     om2 = (omega - q * phi) ** 2
     x = np.array(u, dtype=float)
     G = _field_residual(spec, omega, q, phi, grid, x)
@@ -308,7 +293,8 @@ def newton_polish(spec, omega, phi, q, grid, u, opts=None):
 
 
 def _assemble(spec, omega, q, grid, u, phi, res1, res2, opts,
-              delta=None, fit_residual=None, flow_iters=None):
+              delta=None, fit_residual=None, flow_iters=None,
+              flow_stalled=None):
     theta = -(omega - q * phi) * u
     state = FieldState(grid=grid, u=u.copy(), u_hat=np.zeros(grid.n),
                        theta=theta, Theta=np.zeros(grid.n),
@@ -325,7 +311,8 @@ def _assemble(spec, omega, q, grid, u, phi, res1, res2, opts,
         q=float(q), E=f.energy, C=f.charge,
         Lambda=f.energy / abs(f.charge), res1=float(res1), res2=float(res2),
         u0=u0, tail_ratio=tail_ratio, delta=delta,
-        fit_residual=fit_residual, flow_iters=flow_iters)
+        fit_residual=fit_residual, flow_iters=flow_iters,
+        flow_stalled=flow_stalled)
 
 
 def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
@@ -360,19 +347,14 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
 
 
 def _flow_energy(spec, q, grid, u, theta):
-    """Energy, charge, and field chain used by the descent, with partials.
+    """Energy, charge, and the Gauss-law field E_r used by the descent.
 
-    Returns (E, C, e_field, d_e) where d_e carries the intermediates of
-    the Coulomb cumulative-sum chain needed for the exact adjoint.
+    Returns (E, C, e_field); _flow_grads needs e_field for the exact adjoint.
     """
     w = grid.w
     e_field = np.zeros(grid.n)
     if q != 0.0:
-        s = -q * theta * u
-        dq = grid.cell_c * (s + np.roll(s, 1))
-        dq[0] = 0.0
-        big_q = np.cumsum(dq)
-        e_field[1:] = big_q[1:] / grid.r[1:] ** 2
+        _, e_field = gauss_field(-q * theta * u, grid)
     energy = 0.5 * np.dot(w, theta * theta) \
         + 0.5 * grid.dirichlet_energy(u) \
         + np.dot(w, spec.w(u)) \
@@ -389,9 +371,7 @@ def _flow_grads(spec, q, grid, u, theta, e_field):
     if q != 0.0:
         g_q = np.zeros(grid.n)
         g_q[1:] = w[1:] * e_field[1:] / grid.r[1:] ** 2
-        rev = np.cumsum(g_q[::-1])[::-1]
-        ds = grid.cell_c * rev
-        ds[:-1] += grid.cell_c[1:] * rev[1:]
+        ds = cumulative_charge_adjoint(g_q, grid)
         de_th += -q * u * ds
         de_u += -q * theta * ds
     dc_u = w * theta
@@ -455,7 +435,9 @@ def minimize_J(spec, q, delta, init, opts=None):
     the functional has no nonvacuum minimizer: the descent then slides
     toward the vacuum along the soliton family until the relative
     J-decrease test stops it, and the returned state carries residuals
-    that reflect the drift.  Inspect res1 before trusting the profile.
+    that reflect the drift.  Inspect res1 before trusting the profile;
+    flow_stalled tells a stalled J from a run cut off by flow_max_iter
+    or stopped on the residual target.
     """
     opts = opts or SolveOptions()
     if delta < 0:
@@ -479,7 +461,7 @@ def minimize_J(spec, q, delta, init, opts=None):
 
     # mass-form preconditioner diag(wt) (-lap + m^2), symmetric positive
     # definite once the axis node carries its cell volume as weight
-    lower, diag, upper = _laplacian_bands(grid)
+    lower, diag, upper = grid.lap_bands
     wt = grid.w.copy()
     wt[0] = grid.cell_vol[0]
     wt[-1] = 2.0 * wt[-1]
@@ -492,6 +474,7 @@ def minimize_J(spec, q, delta, init, opts=None):
     floor = opts.charge_floor * charge
     step = 1.0
     iters = 0
+    stalled = False
     for iters in range(1, opts.flow_max_iter + 1):
         de_u, de_th, dc_u, dc_th = _flow_grads(spec, q, grid, u, theta, e_field)
         a = 1.0 / charge + 2.0 * delta * energy
@@ -534,6 +517,7 @@ def minimize_J(spec, q, delta, init, opts=None):
             if res < opts.flow_res_tol:
                 break
             if drop < opts.flow_tol * (1.0 + abs(cost)):
+                stalled = True
                 break
 
     omega_fit, phi_pos = _fit_omega(q, grid, u, theta, e_field)
@@ -546,7 +530,8 @@ def minimize_J(spec, q, delta, init, opts=None):
         _field_residual(spec, omega_fit, q, phi, grid, u) ** 2)))
     res2 = screened_residual(u, omega_fit, q, grid, phi)
     return _assemble(spec, omega_fit, q, grid, u, phi, res1, res2, opts,
-                     delta=delta, fit_residual=fit_residual, flow_iters=iters)
+                     delta=delta, fit_residual=fit_residual, flow_iters=iters,
+                     flow_stalled=stalled)
 
 
 def _fit_omega(q, grid, u, theta, e_field):

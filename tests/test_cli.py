@@ -1,5 +1,6 @@
 """Config parsing, subcommand artifacts, determinism, failure records."""
 
+import hashlib
 import os
 import textwrap
 
@@ -44,6 +45,57 @@ def _small(tmp_path, out_name, extra=""):
         out_dir = {tmp_path / out_name}
         {extra}
         """)
+
+
+# sha256 of every check-potential, hylomorphy, solve and evolve artifact of
+# the _tiny config, taken with numpy 2.4.6 and scipy 1.17.1 on x86-64 (the
+# versions the CI workflow pins).  Results are byte-identical for a given
+# config, seed and build, so a changed digest is a changed result and must
+# be a deliberate, recorded decision.
+TINY_DIGESTS = {
+    "check-potential/admissibility.txt":
+        "96d5fbb122f697e6c83440d61db8b59e6ab039b3cd1d948c6453d51e038c1f9c",
+    "hylomorphy/hylomorphy.csv":
+        "93ff364a8483d1592e1dee79ad983bff72414181460de46d9774aa34229a084a",
+    "hylomorphy/hylomorphy.txt":
+        "511d19f20c2c8d18f91ee8b6c413de57ae67ea99ee74c14dc25fb2f7f73654e8",
+    "solve/profile_omega0.7_q0.01.txt":
+        "537ab2a2a1c999caab2746dc3862e9cfa14705b5dbcd19329b23cbb40adcba77",
+    "solve/profile_omega0.8_q0.01.txt":
+        "ecaf91b90ac22e35e8fa7710d1b1ccd281d63566675ee1e44930a9f4e8edcad4",
+    "solve/solve.txt":
+        "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
+    "solve/sweep.csv":
+        "90b4e351d70ceb58256fce0cbcd28e1d959ec2ff29729c120db80d3fc1c0fb4c",
+    "evolve/evolve.txt":
+        "00fa32e15e2ff2f01234845ce14af54d3f9409f377365ef5ceb9ad5aef3bc173",
+    "evolve/trace_amplitude_eps0.01.csv":
+        "566e3617732701eddb3774d688ab6b5ba69a99ddc974e906dee65c4bde989652",
+    "evolve/trace_noise_eps0.01.csv":
+        "cab170758b4b016d9a4f0b5f34ae01babf4ba57f0a0d18deb0b841d1f1ff4dd2",
+    "evolve/trace_unperturbed.csv":
+        "e71758373efd787cf63b92dfc6ad9a7d59feea756ce2e560346c8e15858fdeb2",
+    "evolve/trace_velocity_eps0.01.csv":
+        "e51c29137e33b9e9522ed172daebe9885b8188a6ec7332bed2aa0fb01e73fcfd",
+}
+
+
+def _tiny(tmp_path, extra=""):
+    """Small charged config: two shooting points and four short evolutions."""
+    return _cfg(tmp_path, """
+        [grid]
+        r_max = 20.0
+        n = 600
+
+        [charge]
+        q = 0.01
+
+        [solver]
+        omega_list = 0.7, 0.8
+
+        [dynamics]
+        T = 2.0
+        """ + extra, name="tiny.cfg")
 
 
 def _read_kv(path):
@@ -290,29 +342,63 @@ def test_failure_record(tmp_path):
 
 
 def test_determinism_across_worker_counts(tmp_path):
-    base = _cfg(tmp_path, f"""
+    # the first solve writes to the config's out_dir, every other call to --out
+    base = _tiny(tmp_path, f"""
+        [output]
+        out_dir = {tmp_path / "solve1"}
+        """)
+    for sub in ("solve", "evolve"):
+        one, three = tmp_path / f"{sub}1", tmp_path / f"{sub}3"
+        own_dir = [] if sub == "solve" else ["--out", str(one)]
+        assert main([sub, "--config", base] + own_dir) == 0
+        assert main([sub, "--config", base, "--out", str(three),
+                     "--workers", "3"]) == 0
+        names = sorted(os.listdir(one))
+        assert names == sorted(os.listdir(three))
+        for name in names:
+            assert (one / name).read_bytes() == (three / name).read_bytes(), name
+
+
+def test_artifact_digests_frozen(tmp_path):
+    base = _tiny(tmp_path)
+    got = {}
+    for sub in ("check-potential", "hylomorphy", "solve", "evolve"):
+        out = tmp_path / sub
+        assert main([sub, "--config", base, "--out", str(out)]) == 0
+        for name in sorted(os.listdir(out)):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            got[f"{sub}/{name}"] = digest
+    assert got == TINY_DIGESTS
+
+
+def test_solve_descent_residual_failure(tmp_path):
+    path = _cfg(tmp_path, f"""
         [grid]
         r_max = 20.0
         n = 600
 
         [charge]
-        q = 0.01
+        q = 0.001
 
         [solver]
-        omega_list = 0.7, 0.8
+        omega_list = 0.8
+        delta_list = 2e-4
+        flow_max_iter = 50
 
         [output]
-        out_dir = {tmp_path / "out1"}
+        out_dir = {tmp_path / "out"}
         """)
-    assert main(["solve", "--config", base]) == 0
-    assert main(["solve", "--config", base, "--out", str(tmp_path / "out2"),
-                 "--workers", "3"]) == 0
-    names = sorted(os.listdir(tmp_path / "out1"))
-    assert names == sorted(os.listdir(tmp_path / "out2"))
-    for name in names:
-        b1 = (tmp_path / "out1" / name).read_bytes()
-        b2 = (tmp_path / "out2" / name).read_bytes()
-        assert b1 == b2, name
+    assert run("solve", parse_config(path)) == 0
+    summary = _read_kv(tmp_path / "out" / "solve.txt")
+    assert summary["n_ok"] == "1"
+    assert summary["n_failures"] == "1"
+    assert "delta=0.0002" in summary["failure_0"]
+    assert "above flow_res_tol=5e-05" in summary["failure_0"]
+    res1 = float(summary["failure_0"].split("res1=")[1].split()[0])
+    assert res1 > 5e-5
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["omega"]
+    assert not (tmp_path / "out" / "profile_delta0.0002_q0.001.txt").exists()
 
 
 def test_main_rejects_bad_config(tmp_path):

@@ -231,6 +231,22 @@ def test_laplacian_nearly_self_adjoint(grid):
     assert abs(a - b) <= 1e-5 * abs(a)
 
 
+def test_laplacian_bands_match_stencil(grid):
+    # nonzero at r_max, so the zero Dirichlet ghost enters the last row
+    f = 0.5 + np.cos(0.1 * grid.r) * np.exp(-grid.r / 30.0)
+    lower, diag, upper = grid.lap_bands
+    terms = np.zeros((3, grid.n))
+    terms[0, 1:] = lower[1:] * f[:-1]
+    terms[1] = diag * f
+    terms[2, :-1] = upper[:-1] * f[1:]
+    err = np.abs(terms.sum(axis=0) - grid.laplacian(f))
+    bound = 16 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    assert err[0] <= bound[0] and err[-1] <= bound[-1]
+    assert np.all(err <= bound)
+    with pytest.raises(ValueError):
+        diag[1] = 0.0
+
+
 def test_dirichlet_energy_matches_integral(grid):
     u = np.exp(-grid.r ** 2 / 4)
     byweights = grid.integrate(grid.d_dr(u) ** 2)

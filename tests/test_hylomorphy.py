@@ -63,6 +63,9 @@ COUL_ENERGY = {
     40.0: 176524.98265113478,
 }
 COUL_SLOPE = 4.864272644956481
+# the bracket [113/512, 114/512] of the 1 % bisection that located the
+# default threshold before the closed form replaced it
+BISECTION_BRACKET = (0.220703125, 0.22265625)
 
 
 def test_params_validation():
@@ -259,6 +262,30 @@ def test_threshold_report(grid, spec):
     assert estimate_lambda_star(spec, rep.q_bar_est, grid)[0] < spec.m
     assert estimate_lambda_star(spec, 2.0 * rep.q_bar_est, grid)[0] >= spec.m
     assert estimate_lambda_star(spec, rep.q_ceiling, grid)[0] >= spec.m
+
+
+def test_threshold_closed_form_bracket(grid, spec):
+    rep = q_threshold(spec, grid)
+    assert estimate_lambda_star(spec, rep.q_bar_est, grid)[0] < spec.m
+    assert estimate_lambda_star(spec, rep.q_ceiling, grid)[0] >= spec.m
+    assert rep.bisect_iters == 0
+    assert rep.bisect_rel_width <= 1e-12
+    lo, hi = BISECTION_BRACKET
+    assert lo < rep.q_bar_est < rep.q_ceiling < hi
+
+
+@pytest.mark.parametrize("spec, r_max, n", [
+    (PotentialSpec("poly46", a=1.0, b=0.3), 40.0, 4000),
+    (PotentialSpec("poly46", a=1.0, b=0.3), 25.0, 1000),
+    (default_potential(), 30.0, 1500),
+])
+def test_threshold_bracket_other_setups(spec, r_max, n):
+    grid = RadialGrid(r_max, n)
+    rep = q_threshold(spec, grid)
+    assert estimate_lambda_star(spec, rep.q_bar_est, grid)[0] < spec.m
+    assert estimate_lambda_star(spec, rep.q_ceiling, grid)[0] >= spec.m
+    assert rep.bisect_iters == 0
+    assert rep.bisect_rel_width <= 1e-12
 
 
 def test_threshold_scale_is_bound_crossing(grid, spec):

@@ -18,18 +18,12 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .potential import PotentialSpec, check_admissibility, hylomorphy_constants
-from .hylomorphy import (
-    calibrate_constants,
-    q_threshold,
-    ratio_bound,
-    ratio_sweep,
-)
-from .fields import RadialGrid
+from .hylomorphy import calibrate_constants, q_threshold, ratio_bound, ratio_sweep
+from .fields import RadialGrid, fan_out
 from .solver import (
     ChargeCollapseError,
     ConvergenceError,
@@ -39,15 +33,7 @@ from .solver import (
     minimize_J,
     solve_profile,
 )
-from .dynamics import (
-    PERTURBATION_MODES,
-    TRACE_COLUMNS,
-    classify_ratio,
-    dyn_norm_sq,
-    evolve,
-    lift_profile,
-    perturb,
-)
+from .dynamics import PERTURBATION_MODES, TRACE_COLUMNS, stability_probe
 
 SUBCOMMANDS = ("check-potential", "hylomorphy", "solve", "evolve",
                "threshold", "all")
@@ -282,6 +268,8 @@ def parse_config(path):
     bad = [m for m in modes if m not in PERTURBATION_MODES]
     if bad or not modes:
         raise ConfigError(f"modes: unknown perturbation mode {bad}")
+    if len(set(modes)) < len(modes):
+        raise ConfigError("modes: must not repeat")
     sample_every = get("dynamics", "sample_every", 10)
     if sample_every < 1:
         raise ConfigError("sample_every: must be at least 1")
@@ -340,10 +328,8 @@ def _run_check_potential(cfg, stage):
     report = check_admissibility(cfg.spec)
     items = sorted(report.as_dict().items())
     _write_report(os.path.join(stage, "admissibility.txt"), items)
-    ok = (report.positivity and report.nondegenerate and report.hylomorphy
-          and report.growth in ("pass", "marginal"))
     print(f"check-potential: preset={cfg.spec.name} "
-          f"verdict={'pass' if ok else 'fail'}")
+          f"verdict={'pass' if report.admissible else 'fail'}")
     for k, v in items:
         print(f"  {k} = {_fmt(v)}")
 
@@ -403,13 +389,6 @@ def _solve_point(point):
     return q, kind, value, prof, None
 
 
-def _fan_out(fn, payloads, workers):
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads))
-
-
 def _run_solve(cfg, stage):
     grid = cfg.grid()
     points = [(cfg.spec, grid, cfg.solve_opts, q, kind, value)
@@ -417,7 +396,7 @@ def _run_solve(cfg, stage):
               for kind, values in (("omega", cfg.omega_list),
                                    ("delta", cfg.delta_list))
               for value in values]
-    results = sorted(_fan_out(_solve_point, points, cfg.workers),
+    results = sorted(fan_out(_solve_point, points, cfg.workers),
                      key=lambda r: r[:3])
 
     rows = []
@@ -446,49 +425,31 @@ def _run_solve(cfg, stage):
         print(f"  failed {kind}={value:g} q={q:g}: {reason}")
 
 
-def _evolve_run(run):
-    """Worker: perturb the lifted profile and evolve one run."""
-    base, name, mode, eps, seed, T, dt, sample_every = run
-    start = perturb(base, mode, eps, seed)
-    return name, eps, evolve(start, T, dt, sample_every, reference=base)
-
-
 def _run_evolve(cfg, stage):
     q = cfg.q_values[0]
     omega = cfg.omega_list[0]
     prof = solve_profile(cfg.spec, omega, q, cfg.grid(), cfg.solve_opts)
-    base = lift_profile(prof, cfg.spec)
-    norm = float(np.sqrt(dyn_norm_sq(base)))
-    common = (cfg.T, cfg.dt, cfg.sample_every)
-    runs = [(base, "unperturbed", "amplitude", 0.0, cfg.seed) + common]
-    for mode in cfg.modes:
-        for eps in cfg.eps_list:
-            if eps == 0.0:
-                continue
-            runs.append((base, f"{mode}_eps{eps:g}", mode, eps,
-                         cfg.seed + len(runs)) + common)
-    results = sorted(_fan_out(_evolve_run, runs, cfg.workers),
-                     key=lambda r: r[0])
+    # the unperturbed run is always part of the probe
+    report = stability_probe(prof, cfg.spec, sorted({0.0, *cfg.eps_list}),
+                             cfg.T, cfg.dt, cfg.sample_every, cfg.modes,
+                             cfg.seed, cfg.workers)
+    for r in report.runs:
+        if r.failure is not None:
+            raise r.failure
 
+    runs = sorted(report.runs, key=lambda r: r.name)
     summary = [("q", q), ("omega", omega), ("T", cfg.T),
-               ("n_runs", len(results))]
-    for name, eps, trace in results:
-        cols = trace.columns()
+               ("n_runs", len(runs))]
+    for r in runs:
+        cols = r.trace.columns()
         rows = zip(*(cols[k] for k in TRACE_COLUMNS))
-        _write_csv(os.path.join(stage, f"trace_{name}.csv"),
+        _write_csv(os.path.join(stage, f"trace_{r.name}.csv"),
                    TRACE_COLUMNS, rows)
-        dmax = float(np.max(cols["d"]))
-        if eps > 0.0:
-            ratio = dmax / (eps * norm)
-            label = classify_ratio(ratio)
-        else:
-            ratio = 0.0
-            label = "stable-like"
-        summary += [(f"{name}_max_distance", dmax),
-                    (f"{name}_ratio", ratio),
-                    (f"{name}_classification", label)]
-        print(f"evolve: {name} max distance {dmax:.6g} "
-              f"ratio {ratio:.3g} -> {label}")
+        summary += [(f"{r.name}_max_distance", r.max_distance),
+                    (f"{r.name}_ratio", r.max_ratio),
+                    (f"{r.name}_classification", r.classification)]
+        print(f"evolve: {r.name} max distance {r.max_distance:.6g} "
+              f"ratio {r.max_ratio:.3g} -> {r.classification}")
     _write_report(os.path.join(stage, "evolve.txt"), summary)
 
 
@@ -498,7 +459,7 @@ _DISPATCH = {
     "hylomorphy": [("hylomorphy", "ratio_sweep", _run_hylomorphy)],
     "threshold": [("hylomorphy", "q_threshold", _run_threshold)],
     "solve": [("solver", "solve_profile", _run_solve)],
-    "evolve": [("dynamics", "evolve", _run_evolve)],
+    "evolve": [("dynamics", "stability_probe", _run_evolve)],
 }
 _DISPATCH["all"] = (_DISPATCH["check-potential"] + _DISPATCH["hylomorphy"]
                     + _DISPATCH["threshold"] + _DISPATCH["solve"]

@@ -23,10 +23,8 @@ import dataclasses
 
 import numpy as np
 
-from .fields import solve_poisson
+from .fields import fan_out, solve_poisson
 
-SPONGE_FRACTION = 0.1     # outer fraction of the grid that absorbs
-SPONGE_SIGMA = 5.0        # peak damping rate of the quintic ramp
 CFL_LIMIT = 0.5           # dt must stay below this times dr
 DEFAULT_DT_FACTOR = 0.2
 
@@ -42,6 +40,10 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.t = t
         self.trace = trace
+
+    def __reduce__(self):
+        # keeps the error intact across a process pool
+        return type(self), (str(self), self.t, self.trace)
 
 
 @dataclasses.dataclass
@@ -123,22 +125,6 @@ def _kick(spec, q, psi, pi, phi, tau):
     return fac * pi + src * g
 
 
-def _sponge_sigma(grid):
-    r_start = (1.0 - SPONGE_FRACTION) * grid.r_max
-    x = np.clip((grid.r - r_start) / (grid.r_max - r_start), 0.0, 1.0)
-    return SPONGE_SIGMA * x ** 5
-
-
-_SPONGE_CACHE = {}
-
-
-def _sponge(grid):
-    key = (grid.n, grid.r_max)
-    if key not in _SPONGE_CACHE:
-        _SPONGE_CACHE[key] = _sponge_sigma(grid)
-    return _SPONGE_CACHE[key]
-
-
 def step(state, dt):
     """One symmetric split step of size dt; returns a new state."""
     grid, spec, q = state.grid, state.spec, state.q
@@ -159,8 +145,7 @@ def step(state, dt):
     pi = _kick(spec, q, psi, pi, phi, half)
     phi, e_r = _constrain_phi(grid, q, psi, pi, phi, picard)
 
-    sigma = _sponge(grid)
-    damp = np.exp(-sigma * dt)
+    damp = np.exp(-grid.sponge * dt)
     absorbed = 0.5 * float(grid.w @ (np.abs(pi) ** 2 * (1.0 - damp ** 2)))
     pi = pi * damp
 
@@ -196,14 +181,17 @@ def dyn_charge(state):
     return float(g.w @ np.imag(state.d_t_psi * np.conj(state.psi)))
 
 
+def _energy_norm_sq(g, chi, dpsi, psi, e_r, m2):
+    """int (|chi|^2 + |dpsi|^2 + m^2 |psi|^2 + e_r^2)."""
+    return float(g.w @ (np.abs(chi) ** 2 + np.abs(dpsi) ** 2
+                        + m2 * np.abs(psi) ** 2 + e_r ** 2))
+
+
 def dyn_norm_sq(state):
     """int (|D_t psi|^2 + |d_r psi|^2 + m^2 |psi|^2 + E_r^2)."""
     g = state.grid
-    chi = state.d_t_psi
-    dpsi = g.d_dr(state.psi)
-    dens = (np.abs(chi) ** 2 + np.abs(dpsi) ** 2
-            + state.spec.m ** 2 * np.abs(state.psi) ** 2 + state.e_r ** 2)
-    return float(g.w @ dens)
+    return _energy_norm_sq(g, state.d_t_psi, g.d_dr(state.psi), state.psi,
+                           state.e_r, state.spec.m ** 2)
 
 
 def orbit_distance(state, ref):
@@ -220,10 +208,8 @@ def orbit_distance(state, ref):
     z = complex(g.w @ (chi * np.conj(chi0) + dpsi * np.conj(dpsi0)
                        + m2 * state.psi * np.conj(ref.psi)))
     rot = z / abs(z) if z != 0.0 else 1.0
-    d2 = float(g.w @ (np.abs(chi - rot * chi0) ** 2
-                      + np.abs(dpsi - rot * dpsi0) ** 2
-                      + m2 * np.abs(state.psi - rot * ref.psi) ** 2
-                      + (state.e_r - ref.e_r) ** 2))
+    d2 = _energy_norm_sq(g, chi - rot * chi0, dpsi - rot * dpsi0,
+                         state.psi - rot * ref.psi, state.e_r - ref.e_r, m2)
     return np.sqrt(max(d2, 0.0))
 
 
@@ -277,11 +263,9 @@ def perturb(state, mode, eps, seed=0):
 def _plain_distance(state, ref):
     """Energy-norm distance without the phase minimization."""
     g = state.grid
-    m2 = state.spec.m ** 2
-    d2 = float(g.w @ (np.abs(state.d_t_psi - ref.d_t_psi) ** 2
-                      + np.abs(g.d_dr(state.psi - ref.psi)) ** 2
-                      + m2 * np.abs(state.psi - ref.psi) ** 2
-                      + (state.e_r - ref.e_r) ** 2))
+    diff = state.psi - ref.psi
+    d2 = _energy_norm_sq(g, state.d_t_psi - ref.d_t_psi, g.d_dr(diff), diff,
+                         state.e_r - ref.e_r, state.spec.m ** 2)
     return np.sqrt(max(d2, 0.0))
 
 
@@ -351,22 +335,40 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
 
 
 @dataclasses.dataclass
-class ProbeRow:
-    """One perturbation run: growth ratio and its classification."""
-    mode: str
+class ProbeRun:
+    """One evolution of the probe: its trace, growth ratio and label.
+
+    The unperturbed run has mode None and eps 0.  A blown-up run keeps
+    its BlowUpError as failure, its partial trace and NaN distances.
+    """
+    name: str
+    mode: str | None
     eps: float
+    seed: int
+    trace: EvolutionTrace
     max_distance: float
     max_ratio: float          # max_t d / (eps * profile norm); 0 when eps = 0
     classification: str       # stable-like / marginal / unstable-like
-    failure: str = None
+    failure: BlowUpError = None
 
 
 @dataclasses.dataclass
 class StabilityReport:
-    rows: list
+    runs: list                # every evolution once, in plan order
+    modes: tuple
+    eps_list: tuple
     profile_norm: float
     T: float
     dt: float
+
+    @property
+    def rows(self):
+        """One run per (mode, eps), modes x eps_list; eps = 0 rows are
+        the unperturbed run under each mode's name."""
+        runs = {(run.mode, run.eps): run for run in self.runs}
+        return [dataclasses.replace(runs[None, 0.0], mode=mode)
+                if eps == 0.0 else runs[mode, eps]
+                for mode in self.modes for eps in self.eps_list]
 
     def by_mode(self, mode):
         return [row for row in self.rows if row.mode == mode]
@@ -381,34 +383,48 @@ def classify_ratio(ratio):
     return "unstable-like"
 
 
+def _probe_run(job):
+    """Worker: perturb, evolve and classify one run of the probe."""
+    base, norm, T, dt, sample_every, name, mode, eps, seed = job
+    start = base if eps == 0.0 else perturb(base, mode, eps, seed)
+    try:
+        trace = evolve(start, T, dt, sample_every, reference=base)
+    except BlowUpError as exc:
+        return ProbeRun(name, mode, eps, seed, exc.trace, np.nan, np.nan,
+                        "unstable-like", exc)
+    dmax = float(np.max(trace.d))
+    ratio = dmax / (eps * norm) if eps != 0.0 else 0.0
+    return ProbeRun(name, mode, eps, seed, trace, dmax, ratio,
+                    classify_ratio(ratio))
+
+
 def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
-                    modes=PERTURBATION_MODES, seed=0):
+                    modes=PERTURBATION_MODES, seed=0, workers=1):
     """Evolve perturbed lifts and classify growth of the orbit distance.
 
+    The plan is one "unperturbed" run when 0 is in eps_list, then one
+    run per (mode, nonzero eps) in modes x eps_list order, named
+    "<mode>_eps<eps>"; run k >= 1 draws its noise from seed + k.  Every
+    mode's eps = 0 row reuses the unperturbed run, since perturb(..., 0)
+    is a clone whatever the mode.  Runs fan out over `workers`
+    processes; the report does not depend on their number.
+
     The ratio max_t d(t) / (eps ||profile||) is classified stable-like
-    below 10, marginal below 100, unstable-like above; blow-ups and
-    other per-run failures are recorded in the row, not raised.
+    below 10, marginal below 100, unstable-like above; a blow-up is
+    recorded in its run, not raised.
     """
+    if len(set(modes)) < len(modes) or len(set(eps_list)) < len(eps_list):
+        raise ValueError("modes and eps_list must not repeat")
     base = lift_profile(profile, spec)
-    norm = np.sqrt(dyn_norm_sq(base))
+    norm = float(np.sqrt(dyn_norm_sq(base)))
     if dt is None:
         dt = DEFAULT_DT_FACTOR * base.grid.dr
-    rows = []
-    for mode in modes:
-        for eps in eps_list:
-            try:
-                start = perturb(base, mode, eps, seed)
-                trace = evolve(start, T, dt, sample_every, reference=base)
-                dmax = float(np.max(trace.d))
-            except BlowUpError as exc:
-                rows.append(ProbeRow(mode, eps, np.nan, np.nan,
-                                     "unstable-like",
-                                     failure=f"blow-up at t={exc.t:.3f}"))
-                continue
-            if eps == 0.0:
-                rows.append(ProbeRow(mode, eps, dmax, 0.0, "stable-like"))
-                continue
-            ratio = dmax / (eps * norm)
-            rows.append(ProbeRow(mode, eps, dmax, ratio,
-                                 classify_ratio(ratio)))
-    return StabilityReport(rows, float(norm), float(T), float(dt))
+    kicks = [(mode, eps) for mode in modes for eps in eps_list if eps != 0.0]
+    plan = [(f"{mode}_eps{eps:g}", mode, eps, seed + k)
+            for k, (mode, eps) in enumerate(kicks, start=1)]
+    if 0.0 in eps_list:
+        plan.insert(0, ("unperturbed", None, 0.0, seed))
+    jobs = [(base, norm, T, dt, sample_every) + run for run in plan]
+    runs = fan_out(_probe_run, jobs, workers)
+    return StabilityReport(runs, tuple(modes), tuple(eps_list), norm,
+                           float(T), float(dt))

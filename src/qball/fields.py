@@ -19,10 +19,13 @@ solved field has residual at roundoff level by design.
 
 import dataclasses
 import io
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
+SPONGE_FRACTION = 0.1     # outer fraction of the grid that absorbs
+SPONGE_SIGMA = 5.0        # peak damping rate of the quintic ramp
 
 PROFILE_COLUMNS = ("r", "u", "u_hat", "theta", "Theta", "E_r", "phi")
 
@@ -73,6 +76,11 @@ class RadialGrid:
         self.cell_vol = np.empty(self.n)
         self.cell_vol[0] = FOUR_PI * (0.5 * self.dr) ** 3 / 3.0
         self.cell_vol[1:] = FOUR_PI * (r3[1:] - r3[:-1]) / 3.0
+        # absorbing-sponge rate: a quintic ramp over the outer SPONGE_FRACTION
+        r_start = (1.0 - SPONGE_FRACTION) * self.r_max
+        x = np.clip((self.r - r_start) / (self.r_max - r_start), 0.0, 1.0)
+        self.sponge = SPONGE_SIGMA * x ** 5
+        self.sponge.flags.writeable = False
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -357,3 +365,11 @@ def read_columnar(path):
     if names is None:
         names = list(PROFILE_COLUMNS[:data.shape[1]])
     return header, {k: data[:, j] for j, k in enumerate(names)}
+
+
+def fan_out(fn, payloads, workers):
+    """[fn(p) for p in payloads] in order, over `workers` processes if > 1."""
+    if workers <= 1 or len(payloads) <= 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, payloads))

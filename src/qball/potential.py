@@ -150,6 +150,12 @@ class AdmissibilityReport:
     s_max: float
     n_samples: int
 
+    @property
+    def admissible(self):
+        """check-potential verdict: all conditions hold, growth marginal at worst."""
+        return (self.positivity and self.nondegenerate and self.hylomorphy
+                and self.growth in ("pass", "marginal"))
+
     def as_dict(self):
         return dataclasses.asdict(self)
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from qball.cli import ConfigError, main, parse_config, run
-from qball.solver import DEFAULT_OMEGA_LIST
+from qball.dynamics import stability_probe
+from qball.solver import DEFAULT_OMEGA_LIST, solve_profile
 
 # the deliberately small grids here leave visible profile tails
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -20,7 +21,7 @@ def _cfg(tmp_path, body, name="run.cfg"):
     return str(path)
 
 
-def _small(tmp_path, out_name, extra=""):
+def _small(tmp_path, out_name, extra="", eps_list="0.01"):
     return _cfg(tmp_path, f"""
         [potential]
         preset = double_well
@@ -37,7 +38,7 @@ def _small(tmp_path, out_name, extra=""):
 
         [dynamics]
         T = 1.0
-        eps_list = 0.01
+        eps_list = {eps_list}
         modes = amplitude
         sample_every = 20
 
@@ -195,6 +196,7 @@ def test_parse_field_validation(tmp_path):
         "[charge]\nq = -0.1": "q",
         "[dynamics]\nT = 0.0": "T",
         "[dynamics]\nmodes = wobble": "modes",
+        "[dynamics]\nmodes = amplitude, amplitude": "modes",
         "[solver]\nomega_list = 0.8, 0.5": "omega_list",
         "[output]\nworkers = 0": "workers",
     }
@@ -300,6 +302,36 @@ def test_evolve_artifacts(tmp_path):
     report = _read_kv(tmp_path / "out" / "evolve.txt")
     assert report["amplitude_eps0.01_classification"] == "stable-like"
     assert float(report["unperturbed_max_distance"]) >= 0.0
+
+
+def test_evolve_report_is_the_probe_report(tmp_path):
+    cfg = parse_config(_small(tmp_path, "out"))
+    assert run("evolve", cfg) == 0
+    written = _read_kv(tmp_path / "out" / "evolve.txt")
+    prof = solve_profile(cfg.spec, cfg.omega_list[0], cfg.q_values[0],
+                         cfg.grid(), cfg.solve_opts)
+    report = stability_probe(prof, cfg.spec, (0.0,) + cfg.eps_list, cfg.T,
+                             cfg.dt, cfg.sample_every, cfg.modes, cfg.seed)
+    assert written["n_runs"] == str(len(report.runs))
+    for r in report.runs:
+        assert float(written[f"{r.name}_max_distance"]) == r.max_distance
+        assert float(written[f"{r.name}_ratio"]) == r.max_ratio
+        assert written[f"{r.name}_classification"] == r.classification
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evolve_blow_up_failure_record(tmp_path, workers):
+    # a thousandfold amplitude kick leaves the finite range within T = 1
+    cfg = parse_config(_small(tmp_path, "out", f"workers = {workers}",
+                              eps_list="1000"))
+    assert run("evolve", cfg) == 1
+    assert os.listdir(tmp_path / "out") == ["failure.txt"]
+    record = _read_kv(tmp_path / "out" / "failure.txt")
+    assert record["subcommand"] == "evolve"
+    assert record["module"] == "dynamics"
+    assert record["operation"] == "stability_probe"
+    assert record["error"] == "BlowUpError"
+    assert record["message"] == "fields became non-finite"
 
 
 def test_all_pipeline(tmp_path):

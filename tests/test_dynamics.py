@@ -11,6 +11,7 @@ integrator is expected to hold at the default resolution.
 import numpy as np
 import pytest
 
+from qball import dynamics
 from qball.dynamics import (
     BlowUpError,
     DynState,
@@ -278,3 +279,27 @@ def test_stability_probe_neutral(spec, grid, neutral_profile):
         dmax = [row.max_distance for row in rows]
         assert all(a <= b for a, b in zip(dmax, dmax[1:]))
         assert rows[0].max_ratio == 0.0
+
+
+def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
+                                               monkeypatch):
+    unperturbed = []
+    real_evolve = dynamics.evolve
+
+    def counting_evolve(state, *args, reference=None, **kwargs):
+        unperturbed.append(np.array_equal(state.psi, reference.psi)
+                           and np.array_equal(state.pi, reference.pi))
+        return real_evolve(state, *args, reference=reference, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", counting_evolve)
+    report = stability_probe(neutral_profile, spec, [0.0, 0.01], T=0.02,
+                             seed=5)
+    assert unperturbed == [True, False, False, False]
+    assert [r.name for r in report.runs] == [
+        "unperturbed", "amplitude_eps0.01", "velocity_eps0.01",
+        "noise_eps0.01"]
+    assert [r.seed for r in report.runs] == [5, 6, 7, 8]
+    assert len(report.rows) == 2 * len(PERTURBATION_MODES)
+    for mode in PERTURBATION_MODES:
+        zero = report.by_mode(mode)[0]
+        assert zero.eps == 0.0 and zero.trace is report.runs[0].trace

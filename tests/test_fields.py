@@ -247,6 +247,15 @@ def test_laplacian_bands_match_stencil(grid):
         diag[1] = 0.0
 
 
+def test_sponge_is_a_read_only_outer_ramp(grid):
+    inner = grid.r <= (1.0 - fields.SPONGE_FRACTION) * grid.r_max
+    assert not np.any(grid.sponge[inner])
+    assert np.all(np.diff(grid.sponge) >= 0.0)
+    assert grid.sponge[-1] == fields.SPONGE_SIGMA
+    with pytest.raises(ValueError):
+        grid.sponge[-1] = 0.0
+
+
 def test_dirichlet_energy_matches_integral(grid):
     u = np.exp(-grid.r ** 2 / 4)
     byweights = grid.integrate(grid.d_dr(u) ** 2)

@@ -75,6 +75,9 @@ def test_admissibility_default():
     print(rep)
     assert rep.positivity and rep.nondegenerate and rep.hylomorphy
     assert rep.growth == "pass"
+    assert rep.admissible
+    # the verdict is derived, so admissibility.txt does not carry it
+    assert "admissible" not in rep.as_dict()
     # alpha(s) = |1-s| dips to 0 at s=1; the report clips at the floor
     assert rep.s_bar == pytest.approx(1.0, abs=1e-2)
     assert rep.alpha == pytest.approx(0.05)
@@ -90,18 +93,21 @@ def test_admissibility_pure_mass():
     assert rep.positivity and rep.nondegenerate
     assert not rep.hylomorphy
     assert rep.s_bar is None
+    assert not rep.admissible
 
 
 def test_admissibility_unbounded_below():
     # W = s^2/2 - s^4/4 goes negative: W(3) = 4.5 - 20.25
     rep = check_admissibility(PotentialSpec("poly46", a=1.0, b=0.0), s_max=10.0)
     assert not rep.positivity
+    assert not rep.admissible
 
 
 def test_poly46_growth_marginal():
     rep = check_admissibility(PotentialSpec("poly46", a=1.0, b=0.3))
     assert rep.positivity and rep.hylomorphy
     assert rep.growth == "marginal"
+    assert rep.admissible
 
 
 def test_hylomorphy_constants_max_threshold():

@@ -24,15 +24,7 @@ import numpy as np
 from .potential import PotentialSpec, check_admissibility, hylomorphy_constants
 from .hylomorphy import calibrate_constants, q_threshold, ratio_bound, ratio_sweep
 from .fields import RadialGrid, fan_out
-from .solver import (
-    ChargeCollapseError,
-    ConvergenceError,
-    DEFAULT_OMEGA_LIST,
-    SolveOptions,
-    descent_seed,
-    minimize_J,
-    solve_profile,
-)
+from .solver import DEFAULT_OMEGA_LIST, SolveOptions, family_sweep, solve_profile
 from .dynamics import PERTURBATION_MODES, TRACE_COLUMNS, stability_probe
 
 SUBCOMMANDS = ("check-potential", "hylomorphy", "solve", "evolve",
@@ -109,11 +101,8 @@ _SCHEMA = {
     ("charge", "q_range"): _floats,
     ("solver", "omega_list"): _floats,
     ("solver", "delta_list"): _floats,
-    ("solver", "tol"): float,
-    ("solver", "newton_tol"): float,
-    ("solver", "flow_max_iter"): int,
-    ("solver", "flow_res_tol"): float,
-    ("solver", "charge_floor"): float,
+    # every SolveOptions field is a [solver] key of its own type
+    **{("solver", f.name): f.type for f in dataclasses.fields(SolveOptions)},
     ("dynamics", "T"): float,
     ("dynamics", "dt"): float,
     ("dynamics", "eps_list"): _floats,
@@ -183,6 +172,12 @@ def parse_config(path):
     def get(section, key, default):
         return values.get((section, key), default)
 
+    def distinct_names(section, key, vals):
+        # profile and trace files are named by {v:g}; equal names overwrite
+        if len({f"{v:g}" for v in vals}) < len(vals):
+            raise ConfigError(f"{key}: values must differ in their first six "
+                              "significant digits", lines.get((section, key)))
+
     try:
         spec = PotentialSpec(get("potential", "preset", "double_well"),
                              m=get("potential", "m", 1.0),
@@ -218,6 +213,7 @@ def parse_config(path):
             raise ConfigError("q_range: count must be at least 2",
                               lines[("charge", "q_range")])
         q_values = tuple(float(q) for q in np.linspace(lo, hi, count))
+        distinct_names("charge", "q_range", q_values)
     else:
         q = get("charge", "q", 0.0)
         if q < 0:
@@ -231,23 +227,20 @@ def parse_config(path):
         raise ConfigError("omega_list: frequencies must be positive")
     if list(omega_list) != sorted(set(omega_list)):
         raise ConfigError("omega_list: must be strictly increasing")
+    distinct_names("solver", "omega_list", omega_list)
 
     delta_list = get("solver", "delta_list", ())
     if any(d <= 0 for d in delta_list):
         raise ConfigError("delta_list: weights must be positive")
     if list(delta_list) != sorted(set(delta_list)):
         raise ConfigError("delta_list: must be strictly increasing")
+    distinct_names("solver", "delta_list", delta_list)
 
     try:
-        solve_opts = SolveOptions(
-            tol=get("solver", "tol", SolveOptions.tol),
-            newton_tol=get("solver", "newton_tol", SolveOptions.newton_tol),
-            flow_max_iter=get("solver", "flow_max_iter",
-                              SolveOptions.flow_max_iter),
-            flow_res_tol=get("solver", "flow_res_tol",
-                             SolveOptions.flow_res_tol),
-            charge_floor=get("solver", "charge_floor",
-                             SolveOptions.charge_floor))
+        solve_opts = SolveOptions(**{
+            f.name: values[("solver", f.name)]
+            for f in dataclasses.fields(SolveOptions)
+            if ("solver", f.name) in values})
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
 
@@ -264,6 +257,7 @@ def parse_config(path):
         raise ConfigError("eps_list: amplitudes must be nonnegative")
     if list(eps_list) != sorted(set(eps_list)):
         raise ConfigError("eps_list: must be strictly increasing")
+    distinct_names("dynamics", "eps_list", eps_list)
     modes = get("dynamics", "modes", PERTURBATION_MODES)
     bad = [m for m in modes if m not in PERTURBATION_MODES]
     if bad or not modes:
@@ -368,25 +362,14 @@ def _run_threshold(cfg, stage):
 
 
 def _solve_point(point):
-    """Worker: solve one sweep point; returns (q, kind, value, profile, error)."""
+    """Worker: one point as a one-point, hence cold, family_sweep.
+
+    Returns (q, kind, value, profile, error); one of the last two is None.
+    """
     spec, grid, opts, q, kind, value = point
-    try:
-        if kind == "omega":
-            prof = solve_profile(spec, value, q, grid, opts)
-        else:
-            prof = minimize_J(spec, q, value, descent_seed(spec, q, grid),
-                              opts=opts)
-            # a stalled descent keeps its point: J sits at its roundoff
-            # floor, and its residual is not lowered by further descent
-            if (not prof.flow_stalled
-                    and max(prof.res1, prof.res2) > opts.flow_res_tol):
-                return q, kind, value, None, (
-                    f"descent stopped after {prof.flow_iters} iterations, "
-                    f"res1={prof.res1:.6g} res2={prof.res2:.6g} above "
-                    f"flow_res_tol={opts.flow_res_tol:g}")
-    except (ValueError, ConvergenceError, ChargeCollapseError) as exc:
-        return q, kind, value, None, str(exc)
-    return q, kind, value, prof, None
+    sweep = family_sweep(spec, q, grid, opts=opts, **{f"{kind}_list": [value]})
+    error = sweep.failures[0][1] if sweep.failures else None
+    return q, kind, value, sweep.profiles[0], error
 
 
 def _run_solve(cfg, stage):
@@ -428,7 +411,10 @@ def _run_solve(cfg, stage):
 def _run_evolve(cfg, stage):
     q = cfg.q_values[0]
     omega = cfg.omega_list[0]
-    prof = solve_profile(cfg.spec, omega, q, cfg.grid(), cfg.solve_opts)
+    try:
+        prof = solve_profile(cfg.spec, omega, q, cfg.grid(), cfg.solve_opts)
+    except Exception as exc:
+        raise SubcommandFailure("solver", "solve_profile", exc) from exc
     # the unperturbed run is always part of the probe
     report = stability_probe(prof, cfg.spec, sorted({0.0, *cfg.eps_list}),
                              cfg.T, cfg.dt, cfg.sample_every, cfg.modes,
@@ -481,6 +467,8 @@ def run(subcommand, config):
         for module, operation, body in _DISPATCH[subcommand]:
             try:
                 body(config, stage)
+            except SubcommandFailure:
+                raise  # already labelled by the stage that failed
             except Exception as exc:
                 raise SubcommandFailure(module, operation, exc) from exc
     except SubcommandFailure as fail:

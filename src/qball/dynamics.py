@@ -80,10 +80,10 @@ def charge_density(state):
     return -state.q * np.imag(state.d_t_psi * np.conj(state.psi))
 
 
-def theta_field(state, floor=1e-6):
-    """Phase-velocity variable theta = -rho/(q|psi|) where |psi| > floor."""
+def theta_field(state):
+    """Phase-velocity variable theta = -rho/(q|psi|) where |psi| > 1e-6."""
     mod = np.abs(state.psi)
-    mask = mod > floor
+    mask = mod > 1e-6
     theta = np.zeros(state.grid.n)
     theta[mask] = (np.imag(state.d_t_psi * np.conj(state.psi))[mask]
                    / mod[mask])

@@ -272,7 +272,7 @@ def _integrate_inward(e, phi_out, grid):
     return phi
 
 
-def solve_poisson(source, grid, warn_tol=1e-6):
+def solve_poisson(source, grid):
     """Solve (1/r^2)(r^2 phi')' = -source, phi'(0) = 0, Coulomb tail at r_max.
 
     Returns (phi, dphi).  The field E = -phi' is obtained by integrating
@@ -285,7 +285,7 @@ def solve_poisson(source, grid, warn_tol=1e-6):
     source = np.asarray(source, dtype=float)
     if source.shape != (grid.n,):
         raise ValueError("source shape does not match grid")
-    if abs(source[-1]) > warn_tol * max(1.0, np.max(np.abs(source))):
+    if abs(source[-1]) > 1e-6 * max(1.0, np.max(np.abs(source))):
         import warnings
         warnings.warn("Poisson source does not decay by r_max; "
                       "the Coulomb-tail boundary condition is inaccurate")

@@ -192,8 +192,7 @@ def estimate_lambda_star(spec, q, grid, r_list=None, alpha=None, s_bar=None):
     return best, best_R
 
 
-def calibrate_constants(spec, grid, r_list=None, q_list=CALIBRATION_Q,
-                        alpha=None, s_bar=None):
+def calibrate_constants(spec, grid, r_list=None, alpha=None, s_bar=None):
     """Fit (c1, c6) as the maxima that make the ratio bound tight on the sweep.
 
     c1 bounds the q-independent excess alpha R (ratio - alpha) at q = 0;
@@ -205,7 +204,7 @@ def calibrate_constants(spec, grid, r_list=None, q_list=CALIBRATION_Q,
     base = dict(ratio_sweep(spec, 0.0, grid, r_list, alpha, s_bar))
     c1 = max(alpha * R * (ratio - alpha) for R, ratio in base.items())
     c6 = 0.0
-    for q in q_list:
+    for q in CALIBRATION_Q:
         if q == 0.0:
             continue
         for R, ratio in ratio_sweep(spec, q, grid, r_list, alpha, s_bar):

@@ -166,21 +166,20 @@ def _alpha_curve(spec, s):
     return np.sqrt(2.0 * w) / s
 
 
-def check_admissibility(spec, s_max=None, n_samples=2001, alpha_min=DEFAULT_ALPHA_MIN):
+def check_admissibility(spec, s_max=None):
     """Sample-based certification of the four structural conditions on W.
 
     Returns an AdmissibilityReport; never raises for a merely inadmissible
-    potential (flags carry the verdicts).  The hylomorphy witnesses are the
-    grid argmin of alpha(s), with alpha clipped from below at alpha_min.
+    potential (flags carry the verdicts).  W is sampled at 2001 points of
+    [0, s_max].  The hylomorphy witnesses are the grid argmin of alpha(s),
+    with alpha clipped from below at DEFAULT_ALPHA_MIN.
     """
     if s_max is None:
         s_max = 10.0 * spec.s_scale
     if s_max <= 0:
         raise ValueError("s_max must be positive")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
 
-    s = np.linspace(0.0, s_max, n_samples)
+    s = np.linspace(0.0, s_max, 2001)
     w = spec.w(s)
     positivity = bool(np.all(w >= -1e-12))
 
@@ -195,7 +194,7 @@ def check_admissibility(spec, s_max=None, n_samples=2001, alpha_min=DEFAULT_ALPH
     k = int(np.argmin(alpha))
     hylomorphy = bool(alpha[k] < spec.m)
     s_bar = float(sp[k]) if hylomorphy else None
-    alpha_witness = float(max(alpha[k], alpha_min)) if hylomorphy else None
+    alpha_witness = float(max(alpha[k], DEFAULT_ALPHA_MIN)) if hylomorphy else None
 
     growth, ga, gb = _fit_growth(spec, sp)
 
@@ -207,7 +206,7 @@ def check_admissibility(spec, s_max=None, n_samples=2001, alpha_min=DEFAULT_ALPH
         hylomorphy=hylomorphy, growth=growth,
         s_bar=s_bar, alpha=alpha_witness,
         growth_a=ga, growth_b=gb, small_s_coeff=small_s_coeff,
-        s_max=float(s_max), n_samples=int(n_samples))
+        s_max=float(s_max), n_samples=s.size)
 
 
 def _fit_growth(spec, s):
@@ -231,8 +230,10 @@ def _fit_growth(spec, s):
 
 
 def hylomorphy_constants(spec, alpha_policy="max_threshold",
-                         alpha_min=DEFAULT_ALPHA_MIN, s_max=None, n_samples=4001):
+                         alpha_min=DEFAULT_ALPHA_MIN):
     """Pick binding witnesses (alpha, s_bar) with W(s_bar) <= alpha^2 s_bar^2 / 2.
+
+    The alpha curve is sampled at 4000 points of (0, 10 s_scale].
 
     min_ratio:     s_bar minimizes alpha(s); alpha is that minimum, floored
                    at alpha_min.
@@ -242,9 +243,7 @@ def hylomorphy_constants(spec, alpha_policy="max_threshold",
 
     Raises AdmissibilityError("hylomorphy") when no alpha < m exists.
     """
-    if s_max is None:
-        s_max = 10.0 * spec.s_scale
-    s = np.linspace(0.0, s_max, n_samples)[1:]
+    s = np.linspace(0.0, 10.0 * spec.s_scale, 4001)[1:]
     alpha = _alpha_curve(spec, s)
     k = int(np.argmin(alpha))
     alpha_floor_of_curve = float(alpha[k])

@@ -27,6 +27,15 @@ from .fields import (FieldState, cumulative_charge_adjoint, functionals,
                      solve_poisson)
 
 DEFAULT_OMEGA_LIST = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+MAX_OUTER = 60          # u/phi alternation sweeps
+DAMPING = 0.5           # relaxation factor on phi updates
+SCAN_SIZE = 64          # shooting candidates per pass
+SCAN_PASSES = 6
+BRACKET_LO = 0.1        # initial u(0) bracket, in units of s_bar
+BRACKET_HI = 10.0
+MAX_NEWTON = 60
+TAIL_WARN = 1e-8        # warn when u(r_max - dr) exceeds this times u(0)
+FLOW_TOL = 1e-12        # relative J decrease considered stalled
 
 
 class ConvergenceError(RuntimeError):
@@ -39,28 +48,16 @@ class ChargeCollapseError(RuntimeError):
 
 @dataclasses.dataclass
 class SolveOptions:
+    """The ``[solver]`` config keys; the other solver limits are constants."""
     tol: float = 1e-6            # residual target for the coupled system
     newton_tol: float = 1e-7     # inner Newton target, kept below tol
-    max_outer: int = 60          # u/phi alternation sweeps
-    damping: float = 0.5         # relaxation factor on phi updates
-    scan_size: int = 64          # shooting candidates per pass
-    scan_passes: int = 6
-    bracket_lo: float = 0.1      # initial u(0) bracket, in units of s_bar
-    bracket_hi: float = 10.0
-    max_newton: int = 60
-    tail_warn: float = 1e-8      # warn when u(r_max - dr) exceeds this times u(0)
     flow_max_iter: int = 6000
     flow_res_tol: float = 5e-5   # field-equation residual target for descent
-    flow_tol: float = 1e-12      # relative J decrease considered stalled
     charge_floor: float = 1e-8   # |C| below this aborts the descent
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.tol <= 0 or self.newton_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.bracket_lo <= 0 or self.bracket_hi <= self.bracket_lo:
-            raise ValueError("bracket must satisfy 0 < lo < hi")
 
 
 @dataclasses.dataclass
@@ -133,7 +130,7 @@ def _field_residual(spec, omega, q, phi, grid, u):
     return G
 
 
-def shoot_u_given_phi(spec, omega, phi, q, grid, opts=None):
+def shoot_u_given_phi(spec, omega, phi, q, grid):
     """March the profile equation from r = 0, bisecting u(0) on the fan.
 
     Candidates that dip below zero have overshot; candidates that turn
@@ -143,16 +140,15 @@ def shoot_u_given_phi(spec, omega, phi, q, grid, opts=None):
     trajectory is cut where it leaves the separatrix and continued with
     its own exponential tail.
     """
-    opts = opts or SolveOptions()
     if not 0.0 < omega < spec.m:
         raise ValueError("omega must lie strictly between 0 and the mass m")
-    lo = opts.bracket_lo * spec.s_bar
-    hi = opts.bracket_hi * spec.s_bar
+    lo = BRACKET_LO * spec.s_bar
+    hi = BRACKET_HI * spec.s_bar
     capped = False
     lowered = False
     passes = 0
-    while passes < opts.scan_passes:
-        cand = np.linspace(lo, hi, opts.scan_size)
+    while passes < SCAN_PASSES:
+        cand = np.linspace(lo, hi, SCAN_SIZE)
         status = _march(spec, omega, q, phi, grid, cand)
         over = np.flatnonzero(status == 2)
         if over.size == 0:
@@ -268,7 +264,7 @@ def newton_polish(spec, omega, phi, q, grid, u, opts=None):
     om2 = (omega - q * phi) ** 2
     x = np.array(u, dtype=float)
     G = _field_residual(spec, omega, q, phi, grid, x)
-    for _ in range(opts.max_newton):
+    for _ in range(MAX_NEWTON):
         gnorm = np.sqrt(grid.integrate(G * G))
         if gnorm < opts.newton_tol:
             return x, float(gnorm)
@@ -292,9 +288,8 @@ def newton_polish(spec, omega, phi, q, grid, u, opts=None):
     raise ConvergenceError("profile refinement did not reach tolerance")
 
 
-def _assemble(spec, omega, q, grid, u, phi, res1, res2, opts,
-              delta=None, fit_residual=None, flow_iters=None,
-              flow_stalled=None):
+def _assemble(spec, omega, q, grid, u, phi, res1, res2, delta=None,
+              fit_residual=None, flow_iters=None, flow_stalled=None):
     theta = -(omega - q * phi) * u
     state = FieldState(grid=grid, u=u.copy(), u_hat=np.zeros(grid.n),
                        theta=theta, Theta=np.zeros(grid.n),
@@ -302,7 +297,7 @@ def _assemble(spec, omega, q, grid, u, phi, res1, res2, opts,
     f = functionals(state, spec)
     u0 = float(u[0])
     tail_ratio = float(abs(u[-2]) / max(abs(u0), 1e-300))
-    if tail_ratio > opts.tail_warn:
+    if tail_ratio > TAIL_WARN:
         warnings.warn(
             f"profile tail {tail_ratio:.2e} of u(0) still visible at r_max; "
             "enlarge the grid or lower omega", RuntimeWarning)
@@ -329,21 +324,21 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
     if init_u is not None:
         u = np.array(init_u, dtype=float)
     else:
-        u = shoot_u_given_phi(spec, omega, phi, q, grid, opts)
+        u = shoot_u_given_phi(spec, omega, phi, q, grid)
     u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts)
     res2 = screened_residual(u, omega, q, grid, phi)
     if q != 0.0:
-        for _ in range(opts.max_outer):
+        for _ in range(MAX_OUTER):
             if res1 < opts.tol and res2 < opts.tol:
                 break
             target = solve_phi_given_u(u, omega, q, grid)
-            phi = phi + opts.damping * (target - phi)
+            phi = phi + DAMPING * (target - phi)
             u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts)
             res2 = screened_residual(u, omega, q, grid, phi)
         else:
             raise ConvergenceError(
                 "alternation between profile and potential did not settle")
-    return _assemble(spec, omega, q, grid, u, phi, res1, res2, opts)
+    return _assemble(spec, omega, q, grid, u, phi, res1, res2)
 
 
 def _flow_energy(spec, q, grid, u, theta):
@@ -510,13 +505,13 @@ def minimize_J(spec, q, delta, init, opts=None):
         drop = cost - cost_n
         u, theta, energy, charge, e_field, cost = un, thn, en, cn, fn, cost_n
         step = min(2.0 * t, 64.0)
-        if iters % 25 == 0 or drop < opts.flow_tol * (1.0 + abs(cost)):
+        if iters % 25 == 0 or drop < FLOW_TOL * (1.0 + abs(cost)):
             omega_fit, phi_pos = _fit_omega(q, grid, u, theta, e_field)
             res = np.sqrt(grid.integrate(
                 _field_residual(spec, omega_fit, q, -phi_pos, grid, u) ** 2))
             if res < opts.flow_res_tol:
                 break
-            if drop < opts.flow_tol * (1.0 + abs(cost)):
+            if drop < FLOW_TOL * (1.0 + abs(cost)):
                 stalled = True
                 break
 
@@ -529,7 +524,7 @@ def minimize_J(spec, q, delta, init, opts=None):
     res1 = float(np.sqrt(grid.integrate(
         _field_residual(spec, omega_fit, q, phi, grid, u) ** 2)))
     res2 = screened_residual(u, omega_fit, q, grid, phi)
-    return _assemble(spec, omega_fit, q, grid, u, phi, res1, res2, opts,
+    return _assemble(spec, omega_fit, q, grid, u, phi, res1, res2,
                      delta=delta, fit_residual=fit_residual, flow_iters=iters,
                      flow_stalled=stalled)
 
@@ -560,9 +555,12 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
     """Continuation over omega (direct route) or delta (descent route).
 
     Each point warm-starts from its predecessor and falls back to a
-    fresh solve; failures are recorded per point rather than aborting
-    the sweep.
+    fresh solve, so a sweep of one point is a cold solve.  A descent
+    point that stopped with res1 or res2 above flow_res_tol fails unless
+    J stalled (then J sits at its roundoff floor, which further descent
+    does not lower).  Failures are recorded per point, not raised.
     """
+    opts = opts or SolveOptions()
     if omega_list is not None and delta_list is not None:
         raise ValueError("sweep over omega or delta, not both")
     if delta_list is None:
@@ -579,11 +577,19 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
             if parameter == "omega":
                 try:
                     prof = solve_profile(spec, val, q, grid, opts, init_u=prev)
-                except (ConvergenceError, ChargeCollapseError):
+                except ConvergenceError:
+                    if prev is None:
+                        raise
                     prof = solve_profile(spec, val, q, grid, opts)
             else:
                 seed = prev if prev is not None else descent_seed(spec, q, grid)
                 prof = minimize_J(spec, q, val, seed, opts=opts)
+                if (not prof.flow_stalled
+                        and max(prof.res1, prof.res2) > opts.flow_res_tol):
+                    raise ConvergenceError(
+                        f"descent stopped after {prof.flow_iters} iterations, "
+                        f"res1={prof.res1:.6g} res2={prof.res2:.6g} above "
+                        f"flow_res_tol={opts.flow_res_tol:g}")
         except (ValueError, ConvergenceError, ChargeCollapseError) as exc:
             profiles.append(None)
             failures.append((val, str(exc)))

@@ -21,7 +21,7 @@ def _cfg(tmp_path, body, name="run.cfg"):
     return str(path)
 
 
-def _small(tmp_path, out_name, extra="", eps_list="0.01"):
+def _small(tmp_path, out_name, extra="", eps_list="0.01", omega_list="0.8"):
     return _cfg(tmp_path, f"""
         [potential]
         preset = double_well
@@ -34,7 +34,7 @@ def _small(tmp_path, out_name, extra="", eps_list="0.01"):
         q = 0.01
 
         [solver]
-        omega_list = 0.8
+        omega_list = {omega_list}
 
         [dynamics]
         T = 1.0
@@ -198,6 +198,11 @@ def test_parse_field_validation(tmp_path):
         "[dynamics]\nmodes = wobble": "modes",
         "[dynamics]\nmodes = amplitude, amplitude": "modes",
         "[solver]\nomega_list = 0.8, 0.5": "omega_list",
+        # distinct values whose {v:g} file names collide
+        "[solver]\nomega_list = 0.8, 0.8000001": "omega_list",
+        "[solver]\ndelta_list = 1e-4, 1.0000001e-4": "delta_list",
+        "[charge]\nq_range = 0.01, 0.0100001, 3": "q_range",
+        "[dynamics]\neps_list = 0.01, 0.0100000001": "eps_list",
         "[output]\nworkers = 0": "workers",
     }
     for body, field in bad.items():
@@ -332,6 +337,17 @@ def test_evolve_blow_up_failure_record(tmp_path, workers):
     assert record["operation"] == "stability_probe"
     assert record["error"] == "BlowUpError"
     assert record["message"] == "fields became non-finite"
+
+
+def test_evolve_profile_failure_record(tmp_path):
+    # omega above the mass fails the profile solve before any evolution
+    cfg = parse_config(_small(tmp_path, "out", omega_list="1.5"))
+    assert run("evolve", cfg) == 1
+    assert os.listdir(tmp_path / "out") == ["failure.txt"]
+    record = _read_kv(tmp_path / "out" / "failure.txt")
+    assert record["module"] == "solver"
+    assert record["operation"] == "solve_profile"
+    assert record["error"] == "ValueError"
 
 
 def test_all_pipeline(tmp_path):

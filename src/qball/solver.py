@@ -12,7 +12,9 @@ direct route (shooting for u, damped alternation with the screened
 potential solve, Newton refinement of each) and a variational route
 (preconditioned descent on J = E/|C| + delta E^2 over the pair
 (u, theta), whose stationary points satisfy the same equations with
-omega appearing as the constraint multiplier).
+omega appearing as the constraint multiplier).  A cold direct solve
+shoots on a coarser grid and polishes on the caller's grid one Newton
+step past tolerance, so it forgets the shooting seed to roundoff.
 """
 
 import dataclasses
@@ -22,15 +24,16 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .fields import (FieldState, cumulative_charge_adjoint, functionals,
-                     gauss_field, gauss_residual, potential_from_field,
-                     solve_poisson)
+from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
+                     functionals, gauss_field, gauss_residual,
+                     potential_from_field, solve_poisson)
 
 DEFAULT_OMEGA_LIST = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 MAX_OUTER = 60          # u/phi alternation sweeps
 DAMPING = 0.5           # relaxation factor on phi updates
 SCAN_SIZE = 64          # shooting candidates per pass
 SCAN_PASSES = 6
+COARSEN = 4             # cold solves shoot on every COARSEN-th node
 BRACKET_LO = 0.1        # initial u(0) bracket, in units of s_bar
 BRACKET_HI = 10.0
 MAX_NEWTON = 60
@@ -77,6 +80,8 @@ class SolitonProfile:
     fit_residual: float | None = None
     flow_iters: int | None = None
     flow_stalled: bool | None = None  # descent stopped on a stalled J
+    newton_iters: int | None = None   # direct route: Newton steps, all polishes
+    outer_sweeps: int | None = None   # direct route: u/phi alternation sweeps
 
 
 def _screened_system(u, omega, q, grid):
@@ -257,17 +262,25 @@ def _march(spec, omega, q, phi, grid, u0_vec, record=False):
     return status
 
 
-def newton_polish(spec, omega, phi, q, grid, u, opts=None):
-    """Drive the discrete profile equation to tolerance from a nearby guess."""
+def newton_polish(spec, omega, phi, q, grid, u, opts=None, extra_step=False,
+                  history=None):
+    """Drive the discrete profile equation to tolerance from a nearby guess.
+
+    With extra_step, one more step follows the first iterate that meets
+    newton_tol, so the result forgets the guess down to roundoff; if the
+    line search finds no decrease at that floor, the iterate is kept.
+    Each step taken appends the residual it started from to history.
+    """
     opts = opts or SolveOptions()
     lower, diag, upper = grid.lap_bands
     om2 = (omega - q * phi) ** 2
     x = np.array(u, dtype=float)
     G = _field_residual(spec, omega, q, phi, grid, x)
     for _ in range(MAX_NEWTON):
-        gnorm = np.sqrt(grid.integrate(G * G))
-        if gnorm < opts.newton_tol:
-            return x, float(gnorm)
+        gnorm = float(np.sqrt(grid.integrate(G * G)))
+        met = gnorm < opts.newton_tol
+        if met and not extra_step:
+            return x, gnorm
         j_low = -lower
         j_diag = -diag + spec.wpp(x) - om2
         j_up = -upper
@@ -283,13 +296,17 @@ def newton_polish(spec, omega, phi, q, grid, u, opts=None):
                 break
             t *= 0.5
         else:
+            if met:
+                return x, gnorm
             raise ConvergenceError("profile refinement stalled in line search")
         x, G = xn, Gn
+        extra_step = extra_step and not met
+        if history is not None:
+            history.append(gnorm)
     raise ConvergenceError("profile refinement did not reach tolerance")
 
 
-def _assemble(spec, omega, q, grid, u, phi, res1, res2, delta=None,
-              fit_residual=None, flow_iters=None, flow_stalled=None):
+def _assemble(spec, omega, q, grid, u, phi, res1, res2, **record):
     theta = -(omega - q * phi) * u
     state = FieldState(grid=grid, u=u.copy(), u_hat=np.zeros(grid.n),
                        theta=theta, Theta=np.zeros(grid.n),
@@ -305,40 +322,48 @@ def _assemble(spec, omega, q, grid, u, phi, res1, res2, delta=None,
         state=state, phi=np.array(phi, dtype=float), omega=float(omega),
         q=float(q), E=f.energy, C=f.charge,
         Lambda=f.energy / abs(f.charge), res1=float(res1), res2=float(res2),
-        u0=u0, tail_ratio=tail_ratio, delta=delta,
-        fit_residual=fit_residual, flow_iters=flow_iters,
-        flow_stalled=flow_stalled)
+        u0=u0, tail_ratio=tail_ratio, **record)
 
 
 def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
     """Direct route: shoot for u, then alternate with the potential solve.
 
-    Each phi update is relaxed by the damping factor and u is re-polished
-    against the new potential; both residuals must pass the tolerance.
-    An initial u may be supplied to warm-start continuation sweeps.
+    A cold solve shoots on a grid COARSEN times coarser, interpolates,
+    and polishes on the caller's grid with the extra Newton step, landing
+    on the fine-grid fixed point to roundoff; an initial u may be given
+    instead to warm-start continuation sweeps.  Each phi update is relaxed
+    by the damping factor and u is re-polished against the new potential;
+    both residuals must pass the tolerance.
     """
     opts = opts or SolveOptions()
     if not 0.0 < omega < spec.m:
         raise ValueError("omega must lie strictly between 0 and the mass m")
     phi = np.zeros(grid.n)
+    steps = []
     if init_u is not None:
         u = np.array(init_u, dtype=float)
     else:
-        u = shoot_u_given_phi(spec, omega, phi, q, grid)
-    u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts)
+        coarse = RadialGrid(grid.r_max, max((grid.n - 1) // COARSEN + 1, 3))
+        u = np.interp(grid.r, coarse.r, shoot_u_given_phi(
+            spec, omega, np.zeros(coarse.n), q, coarse))
+    u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts,
+                            extra_step=init_u is None, history=steps)
     res2 = screened_residual(u, omega, q, grid, phi)
+    sweeps = 0
     if q != 0.0:
-        for _ in range(MAX_OUTER):
+        for sweeps in range(MAX_OUTER):
             if res1 < opts.tol and res2 < opts.tol:
                 break
             target = solve_phi_given_u(u, omega, q, grid)
             phi = phi + DAMPING * (target - phi)
-            u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts)
+            u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts,
+                                    history=steps)
             res2 = screened_residual(u, omega, q, grid, phi)
         else:
             raise ConvergenceError(
                 "alternation between profile and potential did not settle")
-    return _assemble(spec, omega, q, grid, u, phi, res1, res2)
+    return _assemble(spec, omega, q, grid, u, phi, res1, res2,
+                     newton_iters=len(steps), outer_sweeps=sweeps)
 
 
 def _flow_energy(spec, q, grid, u, theta):

@@ -61,23 +61,23 @@ TINY_DIGESTS = {
     "hylomorphy/hylomorphy.txt":
         "511d19f20c2c8d18f91ee8b6c413de57ae67ea99ee74c14dc25fb2f7f73654e8",
     "solve/profile_omega0.7_q0.01.txt":
-        "537ab2a2a1c999caab2746dc3862e9cfa14705b5dbcd19329b23cbb40adcba77",
+        "9d7484a3f7ea3783e488ba286584a54b42c0e074bca6d9cbda6da752441a3976",
     "solve/profile_omega0.8_q0.01.txt":
-        "ecaf91b90ac22e35e8fa7710d1b1ccd281d63566675ee1e44930a9f4e8edcad4",
+        "7661494f55977b8ce479da39bee8d1dabd023a78ee67a605f6f86dc58198ec4e",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
-        "90b4e351d70ceb58256fce0cbcd28e1d959ec2ff29729c120db80d3fc1c0fb4c",
+        "272c4feaf4c9dc4f9ce347289d2cf7b2d09ee21d923c71af907860ddcc177805",
     "evolve/evolve.txt":
-        "00fa32e15e2ff2f01234845ce14af54d3f9409f377365ef5ceb9ad5aef3bc173",
+        "12e82d7dbb4b8729ec1eeb86ac688b52559707bce3f1014e0824a12059ded764",
     "evolve/trace_amplitude_eps0.01.csv":
-        "566e3617732701eddb3774d688ab6b5ba69a99ddc974e906dee65c4bde989652",
+        "dc7e30102a4e03ab0fdbeba3a24e570f9d7f6b5f01416647df83f9dbfe7dda57",
     "evolve/trace_noise_eps0.01.csv":
-        "cab170758b4b016d9a4f0b5f34ae01babf4ba57f0a0d18deb0b841d1f1ff4dd2",
+        "d3fe8df59b28c015a75bf9ba8d0e58df3e058bf58bd9e3510c395cab4e31d19c",
     "evolve/trace_unperturbed.csv":
-        "e71758373efd787cf63b92dfc6ad9a7d59feea756ce2e560346c8e15858fdeb2",
+        "9e06e670df5201fdc0c6aa9ba9cae8cca851bbd6b7fc1b073da758d7a1f973f3",
     "evolve/trace_velocity_eps0.01.csv":
-        "e51c29137e33b9e9522ed172daebe9885b8188a6ec7332bed2aa0fb01e73fcfd",
+        "29a6ab837e73d3e4bbd8250de4013fe42dc15a613cdde62f2d5440217bddaa38",
 }
 
 

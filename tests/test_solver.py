@@ -10,6 +10,7 @@ regressions show up as drift against them.
 import numpy as np
 import pytest
 
+from qball import solver
 from qball.fields import FieldState, RadialGrid, energy_norm_sq, gauss_residual
 from qball.hylomorphy import TestStateParams, build_test_state, exact_coulomb_field
 from qball.solver import (
@@ -220,6 +221,66 @@ def test_charged_profile_reference(charged_profile, neutral_profile):
     # the gauge field costs energy and slightly reshapes the profile
     assert p.E > neutral_profile.E
     assert p.u0 > neutral_profile.u0
+
+
+@pytest.mark.parametrize("q", [0.0, CHARGED_Q])
+@pytest.mark.parametrize("omega", [0.5, 0.8, 0.95])
+def test_cold_solve_is_seed_independent(spec, grid, omega, q):
+    # the coarse-grid seed and the fine-grid shoot polish to one profile
+    phi = np.zeros(grid.n)
+    fine = shoot_u_given_phi(spec, omega, phi, q, grid)
+    u, _ = newton_polish(spec, omega, phi, q, grid, fine, extra_step=True)
+    seeded = solve_profile(spec, omega, q, grid, init_u=u)
+    cold = solve_profile(spec, omega, q, grid)
+    assert np.max(np.abs(cold.state.u - seeded.state.u)) <= 1e-13
+
+
+def _spy_march(monkeypatch):
+    """Record the node count of every shooting march."""
+    sizes = []
+    march = solver._march
+
+    def spy(*args, **kwargs):
+        sizes.append(args[4].n)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_march", spy)
+    return sizes
+
+
+def test_cold_solve_shoots_on_the_coarse_grid(spec, grid, monkeypatch):
+    sizes = _spy_march(monkeypatch)
+    solve_profile(spec, 0.8, CHARGED_Q, grid)
+    assert sizes and set(sizes) == {(grid.n - 1) // solver.COARSEN + 1}
+
+
+def test_coarse_grid_keeps_the_node_floor(spec, monkeypatch):
+    # 5 nodes coarsen to 2, below RadialGrid's floor of 3
+    sizes = _spy_march(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        solve_profile(spec, 0.8, 0.0, RadialGrid(20.0, 5))
+    assert set(sizes) == {3}
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.8])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extra_step_at_the_roundoff_floor(spec, omega):
+    # a converged profile admits no merit decrease; the polish keeps it
+    grid = RadialGrid(20.0, 600)
+    opts = SolveOptions()
+    prof = solve_profile(spec, omega, 0.0, grid)
+    u, res = newton_polish(spec, omega, prof.phi, 0.0, grid, prof.state.u,
+                           opts, extra_step=True)
+    assert res < opts.newton_tol
+    assert np.max(np.abs(u - prof.state.u)) < 1e-12
+
+
+def test_solve_counters(neutral_profile, charged_profile, flow_profile):
+    assert 1 <= neutral_profile.newton_iters <= 4
+    assert neutral_profile.outer_sweeps == 0
+    assert charged_profile.outer_sweeps >= 1
+    assert flow_profile.newton_iters is None
+    assert flow_profile.outer_sweeps is None
 
 
 def test_profile_shape(neutral_profile):

@@ -25,7 +25,8 @@ from .potential import PotentialSpec, check_admissibility, hylomorphy_constants
 from .hylomorphy import calibrate_constants, q_threshold, ratio_bound, ratio_sweep
 from .fields import RadialGrid, fan_out
 from .solver import DEFAULT_OMEGA_LIST, SolveOptions, family_sweep, solve_profile
-from .dynamics import PERTURBATION_MODES, TRACE_COLUMNS, stability_probe
+from .dynamics import (CFL_LIMIT, PERTURBATION_MODES, TRACE_COLUMNS, max_dt,
+                       stability_probe)
 
 SUBCOMMANDS = ("check-potential", "hylomorphy", "solve", "evolve",
                "threshold", "all")
@@ -250,6 +251,10 @@ def parse_config(path):
     dt = get("dynamics", "dt", None)
     if dt is not None and dt <= 0:
         raise ConfigError("dt: step must be positive")
+    dr = r_max / (n - 1)      # the spacing of RadialGrid(r_max, n)
+    if dt is not None and dt > max_dt(dr):
+        raise ConfigError(f"dt: exceeds the CFL bound {CFL_LIMIT:g} dr = "
+                          f"{CFL_LIMIT * dr:g}", lines[("dynamics", "dt")])
     eps_list = get("dynamics", "eps_list", (0.0, 0.01))
     if not eps_list:
         raise ConfigError("eps_list: must not be empty")

@@ -17,20 +17,37 @@ full wave substep of the radial Laplacian (drift, Laplacian kick,
 drift), the mirrored half kick, then an absorbing sponge on pi over the
 outer tenth of the grid.  The composition is second order and
 time-reversible away from the sponge.
+
+The step is fused for speed without changing the scheme.  |psi| is taken
+once per half step and shared by the kick, the |psi|^2 of the Gauss
+source, the Picard rule and the blow-up check.  The gauge kick's factors
+exp(-i a tau) and (1 - exp(-i a tau))/(i a), a = 2 q phi, come from
+their four-term series while max |a tau| < SERIES_RANGE (the truncation
+error, (a tau)^4/24, is then below 3e-15) and from the closed form
+otherwise.  The Gauss solve inside a step skips solve_poisson's input
+checks, and the sponge's damping and loss weights are built once per
+(grid, dt) by RadialGrid.sponge_factors.  evolve takes D_t psi and
+d_r psi once per sample and shares them between E, C and d.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .fields import fan_out, solve_poisson
+from .fields import fan_out, gauss_potential, solve_poisson
 
 CFL_LIMIT = 0.5           # dt must stay below this times dr
 DEFAULT_DT_FACTOR = 0.2
+SERIES_RANGE = 5e-4       # max |a tau| up to which the gauge kick uses its series
 
 PERTURBATION_MODES = ("amplitude", "velocity", "noise")
 
 TRACE_COLUMNS = ("t", "E", "C", "V", "d", "max_psi", "sponge_flux")
+
+
+def max_dt(dr):
+    """Largest step the split step accepts on a grid of spacing dr."""
+    return CFL_LIMIT * dr * (1.0 + 1e-12)
 
 
 class BlowUpError(RuntimeError):
@@ -90,15 +107,22 @@ def theta_field(state):
     return theta, mask
 
 
-def _constrain_phi(grid, q, psi, pi, phi_prev, picard=1):
-    """Solve the Gauss constraint, feeding the previous phi into rho."""
+def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard=1,
+                   solve=gauss_potential):
+    """Solve the Gauss constraint, feeding the previous phi into rho.
+
+    mod is |psi|; solve is the Poisson solve, unchecked inside a step.
+    """
     if q == 0.0:
         z = np.zeros(grid.n)
         return z, z.copy()
+    # -q Im(pi conj(psi)) from real parts, and |psi|^2 of the screening term
+    src = -q * (pi.imag * psi.real - pi.real * psi.imag)
+    mod2 = mod * mod
+    q2 = q * q
     phi = phi_prev
     for _ in range(max(1, picard)):
-        rho = -q * np.imag(pi * np.conj(psi)) - q ** 2 * phi * np.abs(psi) ** 2
-        phi, dphi = solve_poisson(rho, grid)
+        phi, dphi = solve(src - q2 * phi * mod2, grid)
     return phi, -dphi
 
 
@@ -106,23 +130,47 @@ def constrain(state, picard=2):
     """Return a copy whose phi is the constraint image of its own fields."""
     out = state.clone()
     out.phi, out.e_r = _constrain_phi(state.grid, state.q, state.psi,
-                                      state.pi, state.phi, picard)
+                                      np.abs(state.psi), state.pi, state.phi,
+                                      picard, solve=solve_poisson)
     return out
 
 
-def _kick(spec, q, psi, pi, phi, tau):
-    """Exact integration of pi' = -2iq phi pi + (-h(|psi|) + q^2 phi^2) psi."""
-    h = spec.wp_over_s(np.abs(psi))
+def _kick(spec, q, psi, mod, pi, phi, tau):
+    """Exact integration of pi' = -2iq phi pi + (-h(|psi|) + q^2 phi^2) psi.
+
+    The solution is exp(-i a tau) pi + g src with a = 2 q phi and
+    g = (1 - exp(-i a tau))/(i a); mod is |psi|.  Where |a tau| is below
+    SERIES_RANGE both factors come from their four-term series.
+    """
+    h = spec.wp_over_s(mod)
     if q == 0.0:
         return pi - tau * h * psi
-    src = (q ** 2 * phi ** 2 - h) * psi
-    a = 2.0 * q * phi
-    at = a * tau
-    fac = np.exp(-1j * at)
-    small = np.abs(at) < 1e-10
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(small, tau * (1.0 - 0.5j * at), (1.0 - fac) / (1j * a))
-    return fac * pi + src * g
+    x = (2.0 * q * tau) * phi
+    x2 = x * x
+    src = (x2 * (0.5 / tau) ** 2 - h) * psi         # (q^2 phi^2 - h) psi
+    # g = tau (1 - ix/2 - x^2/6 + ix^3/24 - ...)
+    w = x2 * (1.0 / 6.0)
+    w -= 1.0
+    g = np.empty_like(pi)
+    np.multiply(w, -tau, out=g.real)
+    v = x2 * (1.0 / 12.0)
+    v -= 1.0
+    v *= x
+    np.multiply(v, 0.5 * tau, out=g.imag)
+    if np.max(np.abs(x)) < SERIES_RANGE:
+        # exp(-ix) = 1 - ix - x^2/2 + ix^3/6 - ...
+        fac = np.empty_like(pi)
+        np.multiply(x2, -0.5, out=fac.real)
+        fac.real += 1.0
+        np.multiply(x, w, out=fac.imag)
+    else:
+        fac = np.exp(-1j * x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(np.abs(x) < SERIES_RANGE, g,
+                         (1.0 - fac) / (2j * q * phi))
+    out = fac * pi
+    out += src * g
+    return out
 
 
 def step(state, dt):
@@ -130,27 +178,33 @@ def step(state, dt):
     grid, spec, q = state.grid, state.spec, state.q
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if dt > CFL_LIMIT * grid.dr * (1.0 + 1e-12):
+    if dt > max_dt(grid.dr):
         raise ValueError("dt exceeds the CFL bound 0.5 dr")
-    picard = 2 if q * dt * float(np.max(np.abs(state.psi)) ** 2) > 0.1 else 1
     half = 0.5 * dt
 
-    pi = _kick(spec, q, state.psi, state.pi, state.phi, half)
-    phi, e_r = _constrain_phi(grid, q, state.psi, pi, state.phi, picard)
+    mod = np.abs(state.psi)
+    picard = 2 if q * dt * float(np.max(mod)) ** 2 > 0.1 else 1
+    pi = _kick(spec, q, state.psi, mod, state.pi, state.phi, half)
+    phi, _ = _constrain_phi(grid, q, state.psi, mod, pi, state.phi, picard)
 
     psi = state.psi + half * pi
-    pi = pi + dt * grid.laplacian(psi)
-    psi = psi + half * pi
+    lap = grid.laplacian(psi)
+    lap *= dt
+    pi += lap
+    psi += half * pi
 
-    pi = _kick(spec, q, psi, pi, phi, half)
-    phi, e_r = _constrain_phi(grid, q, psi, pi, phi, picard)
+    mod = np.abs(psi)
+    pi = _kick(spec, q, psi, mod, pi, phi, half)
+    phi, e_r = _constrain_phi(grid, q, psi, mod, pi, phi, picard)
 
-    damp = np.exp(-grid.sponge * dt)
-    absorbed = 0.5 * float(grid.w @ (np.abs(pi) ** 2 * (1.0 - damp ** 2)))
-    pi = pi * damp
+    start, damp, loss = grid.sponge_factors(dt)
+    tail = pi[start:]
+    absorbed = float(loss @ (tail.real * tail.real + tail.imag * tail.imag))
+    tail *= damp
 
     t = state.t + dt
-    if not np.isfinite(np.max(np.abs(psi)) + np.max(np.abs(pi))):
+    # a sum is non-finite when a term is (or the fields overflow it)
+    if not (np.isfinite(np.max(mod)) and np.isfinite(np.sum(pi))):
         raise BlowUpError("fields became non-finite", t)
     return DynState(grid, spec, q, psi, pi, phi, e_r, t,
                     state.sponge_flux + absorbed)
@@ -166,19 +220,28 @@ def lift_profile(profile, spec):
     return DynState(grid, spec, profile.q, psi, pi, phi, e_r)
 
 
+def _monitor_terms(state):
+    """D_t psi and d_r psi, the terms E, C and d of one state share."""
+    return state.d_t_psi, state.grid.d_dr(state.psi)
+
+
+def _energy(state, chi, dpsi):
+    dens = 0.5 * (np.abs(chi) ** 2 + np.abs(dpsi) ** 2 + state.e_r ** 2)
+    return float(state.grid.w @ (dens + state.spec.w(np.abs(state.psi))))
+
+
 def dyn_energy(state):
     """E = (1/2) int (|D_t psi|^2 + |d_r psi|^2 + E_r^2) + int W(|psi|)."""
-    g = state.grid
-    chi = state.d_t_psi
-    dpsi = g.d_dr(state.psi)
-    dens = 0.5 * (np.abs(chi) ** 2 + np.abs(dpsi) ** 2 + state.e_r ** 2)
-    return float(g.w @ (dens + state.spec.w(np.abs(state.psi))))
+    return _energy(state, *_monitor_terms(state))
+
+
+def _charge(state, chi):
+    return float(state.grid.w @ np.imag(chi * np.conj(state.psi)))
 
 
 def dyn_charge(state):
     """C = int Im(D_t psi conj(psi)), the hylenic charge."""
-    g = state.grid
-    return float(g.w @ np.imag(state.d_t_psi * np.conj(state.psi)))
+    return _charge(state, state.d_t_psi)
 
 
 def _energy_norm_sq(g, chi, dpsi, psi, e_r, m2):
@@ -189,9 +252,19 @@ def _energy_norm_sq(g, chi, dpsi, psi, e_r, m2):
 
 def dyn_norm_sq(state):
     """int (|D_t psi|^2 + |d_r psi|^2 + m^2 |psi|^2 + E_r^2)."""
-    g = state.grid
-    return _energy_norm_sq(g, state.d_t_psi, g.d_dr(state.psi), state.psi,
+    return _energy_norm_sq(state.grid, *_monitor_terms(state), state.psi,
                            state.e_r, state.spec.m ** 2)
+
+
+def _distance(state, chi, dpsi, ref, chi0, dpsi0):
+    g = state.grid
+    m2 = state.spec.m ** 2
+    z = complex(g.w @ (chi * np.conj(chi0) + dpsi * np.conj(dpsi0)
+                       + m2 * state.psi * np.conj(ref.psi)))
+    rot = z / abs(z) if z != 0.0 else 1.0
+    d2 = _energy_norm_sq(g, chi - rot * chi0, dpsi - rot * dpsi0,
+                         state.psi - rot * ref.psi, state.e_r - ref.e_r, m2)
+    return np.sqrt(max(d2, 0.0))
 
 
 def orbit_distance(state, ref):
@@ -201,16 +274,8 @@ def orbit_distance(state, ref):
     phase of the cross inner product, and the distance is evaluated as
     an explicit difference so near-identical states do not cancel.
     """
-    g = state.grid
-    chi, chi0 = state.d_t_psi, ref.d_t_psi
-    dpsi, dpsi0 = g.d_dr(state.psi), g.d_dr(ref.psi)
-    m2 = state.spec.m ** 2
-    z = complex(g.w @ (chi * np.conj(chi0) + dpsi * np.conj(dpsi0)
-                       + m2 * state.psi * np.conj(ref.psi)))
-    rot = z / abs(z) if z != 0.0 else 1.0
-    d2 = _energy_norm_sq(g, chi - rot * chi0, dpsi - rot * dpsi0,
-                         state.psi - rot * ref.psi, state.e_r - ref.e_r, m2)
-    return np.sqrt(max(d2, 0.0))
+    return _distance(state, *_monitor_terms(state), ref,
+                     *_monitor_terms(ref))
 
 
 def perturb(state, mode, eps, seed=0):
@@ -303,17 +368,19 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
         raise ValueError("T must be nonnegative")
     sample_every = max(1, int(sample_every))
     ref = reference if reference is not None else state.clone()
-    e0, c0 = dyn_energy(ref), dyn_charge(ref)
+    ref_terms = _monitor_terms(ref)
+    e0, c0 = _energy(ref, *ref_terms), _charge(ref, ref_terms[0])
     n_steps = int(round(T / dt))
     cols = {name: [] for name in TRACE_COLUMNS}
 
     def sample(s):
-        e, c = dyn_energy(s), dyn_charge(s)
+        chi, dpsi = _monitor_terms(s)
+        e, c = _energy(s, chi, dpsi), _charge(s, chi)
         cols["t"].append(s.t)
         cols["E"].append(e)
         cols["C"].append(c)
         cols["V"].append((e - e0) ** 2 + (c - c0) ** 2)
-        cols["d"].append(orbit_distance(s, ref))
+        cols["d"].append(_distance(s, chi, dpsi, ref, *ref_terms))
         cols["max_psi"].append(float(np.max(np.abs(s.psi))))
         cols["sponge_flux"].append(s.sponge_flux)
 

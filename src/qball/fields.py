@@ -18,7 +18,6 @@ solved field has residual at roundoff level by design.
 """
 
 import dataclasses
-import io
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -46,8 +45,9 @@ class RadialGrid:
         self.n = int(n)
         self.dr = self.r_max / (self.n - 1)
         self.r = np.linspace(0.0, self.r_max, self.n)
+        self.r2 = self.r ** 2
         # trapezoid weights for int f 4 pi r^2 dr; the r=0 node weighs zero
-        self.w = FOUR_PI * self.r ** 2 * self.dr
+        self.w = FOUR_PI * self.r2 * self.dr
         self.w[-1] *= 0.5
         # face radii squared for the flux Laplacian
         rp = self.r + 0.5 * self.dr
@@ -68,6 +68,8 @@ class RadialGrid:
         for band in (lower, diag, upper):
             band.flags.writeable = False
         self.lap_bands = (lower, diag, upper)
+        # row scale dr^2 r^2 of the flux Laplacian, rows 1..n-1
+        self.dr2_r2 = self.dr ** 2 * self.r2[1:]
         # cell coefficients for cumulative charge integrals:
         # int_{r_{i-1}}^{r_i} s v^2 dv ~ (s_i + s_{i-1}) * (r_i^3 - r_{i-1}^3)/6
         r3 = self.r ** 3
@@ -80,7 +82,9 @@ class RadialGrid:
         r_start = (1.0 - SPONGE_FRACTION) * self.r_max
         x = np.clip((self.r - r_start) / (self.r_max - r_start), 0.0, 1.0)
         self.sponge = SPONGE_SIGMA * x ** 5
-        self.sponge.flags.writeable = False
+        for a in (self.r2, self.dr2_r2, self.sponge):
+            a.flags.writeable = False
+        self._sponge_dt = None
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -100,9 +104,25 @@ class RadialGrid:
         out[1:-1] = (self._rp2[1:-1] * (f[2:] - f[1:-1])
                      - self._rm2[1:-1] * (f[1:-1] - f[:-2]))
         out[-1] = self._rp2[-1] * (0.0 - f[-1]) - self._rm2[-1] * (f[-1] - f[-2])
-        out[1:] /= self.dr ** 2 * self.r[1:] ** 2
+        out[1:] /= self.dr2_r2
         out[0] = 6.0 * (f[1] - f[0]) / self.dr ** 2
         return out
+
+    def sponge_factors(self, dt):
+        """(start, damp, loss) of one sponge pass of length dt.
+
+        Only nodes from start on absorb: damp = exp(-sponge dt) scales pi
+        there, and loss = w (1 - damp^2) / 2 weighs |pi|^2 into the energy
+        the pass removes.  Kept for the last dt asked.
+        """
+        if dt != self._sponge_dt:
+            start = int(np.flatnonzero(self.sponge)[0])
+            damp = np.exp(-self.sponge[start:] * dt)
+            loss = 0.5 * self.w[start:] * (1.0 - damp ** 2)
+            damp.flags.writeable = loss.flags.writeable = False
+            self._sponge = (start, damp, loss)
+            self._sponge_dt = dt
+        return self._sponge
 
     def dirichlet_energy(self, u):
         """Face-based int |grad u|^2 4 pi r^2 dr with a zero ghost at r_max.
@@ -242,9 +262,11 @@ def local_ratio(state, r_lo, r_hi, spec):
 
 def cumulative_charge(source, grid):
     """Q_i = int_0^{r_i} source(v) v^2 dv by cell-trapezoid quadrature."""
-    dq = grid.cell_c * (source + np.roll(source, 1))
+    dq = np.empty(grid.n)
     dq[0] = 0.0
-    return np.cumsum(dq)
+    np.add(source[1:], source[:-1], out=dq[1:])
+    dq[1:] *= grid.cell_c[1:]
+    return np.cumsum(dq, out=dq)
 
 
 def cumulative_charge_adjoint(g, grid):
@@ -259,7 +281,7 @@ def gauss_field(source, grid):
     """Enclosed charge Q and radial field E = Q/r^2 of a source; E(0) = 0."""
     q_cum = cumulative_charge(source, grid)
     e = np.zeros(grid.n)
-    e[1:] = q_cum[1:] / grid.r[1:] ** 2
+    e[1:] = q_cum[1:] / grid.r2[1:]
     return q_cum, e
 
 
@@ -268,7 +290,7 @@ def _integrate_inward(e, phi_out, grid):
     phi = np.empty(grid.n)
     phi[-1] = phi_out
     steps = 0.5 * grid.dr * (e[:-1] + e[1:])
-    phi[:-1] = phi[-1] + np.cumsum(steps[::-1])[::-1]
+    np.add(phi[-1], np.cumsum(steps[::-1])[::-1], out=phi[:-1])
     return phi
 
 
@@ -289,6 +311,11 @@ def solve_poisson(source, grid):
         import warnings
         warnings.warn("Poisson source does not decay by r_max; "
                       "the Coulomb-tail boundary condition is inaccurate")
+    return gauss_potential(source, grid)
+
+
+def gauss_potential(source, grid):
+    """solve_poisson without its shape and decay checks, for hot loops."""
     q_cum, e = gauss_field(source, grid)
     return _integrate_inward(e, q_cum[-1] / grid.r_max, grid), -e
 
@@ -323,18 +350,19 @@ def gauss_residual(state):
 def write_columnar(path, header, columns):
     """Columnar text format: '# key=value' header lines, then data rows."""
     names = list(columns)
-    buf = io.StringIO()
-    for k, v in header.items():
-        if isinstance(v, float):
-            buf.write(f"# {k}={v:.17g}\n")
-        else:
-            buf.write(f"# {k}={v}\n")
-    buf.write("# columns=" + " ".join(names) + "\n")
     data = np.column_stack([columns[k] for k in names])
-    for row in data:
-        buf.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    fmt = " ".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as f:
-        f.write(buf.getvalue())
+        for k, v in header.items():
+            if isinstance(v, float):
+                f.write(f"# {k}={v:.17g}\n")
+            else:
+                f.write(f"# {k}={v}\n")
+        f.write("# columns=" + " ".join(names) + "\n")
+        # a block of rows at a time keeps the Python floats of tolist few
+        for i in range(0, len(data), 256):
+            rows = map(tuple, data[i:i + 256].tolist())
+            f.writelines(fmt % row for row in rows)
 
 
 def read_columnar(path):

@@ -69,15 +69,15 @@ TINY_DIGESTS = {
     "solve/sweep.csv":
         "272c4feaf4c9dc4f9ce347289d2cf7b2d09ee21d923c71af907860ddcc177805",
     "evolve/evolve.txt":
-        "12e82d7dbb4b8729ec1eeb86ac688b52559707bce3f1014e0824a12059ded764",
+        "328178a912003882a72763e3c4c1b1de1327d0fabdb5bb65fd34fadc52d80410",
     "evolve/trace_amplitude_eps0.01.csv":
-        "dc7e30102a4e03ab0fdbeba3a24e570f9d7f6b5f01416647df83f9dbfe7dda57",
+        "91ed1a7948a22ca3c40a37cbab02da64627390cf1ac5473b98bd9f536d8a9dac",
     "evolve/trace_noise_eps0.01.csv":
-        "d3fe8df59b28c015a75bf9ba8d0e58df3e058bf58bd9e3510c395cab4e31d19c",
+        "883c7cc25483b463a792235ab101f91dccbfc3ca919386057984bea1085b74d1",
     "evolve/trace_unperturbed.csv":
-        "9e06e670df5201fdc0c6aa9ba9cae8cca851bbd6b7fc1b073da758d7a1f973f3",
+        "e189642ac22f9d4d9ab95a91f05912fbc22fe9100d09abc4700213f09f9e83a4",
     "evolve/trace_velocity_eps0.01.csv":
-        "29a6ab837e73d3e4bbd8250de4013fe42dc15a613cdde62f2d5440217bddaa38",
+        "34b86cee9007800209a6dac46bc348d7d98114b849540ac8f4db82c850992cce",
 }
 
 
@@ -447,6 +447,28 @@ def test_solve_descent_residual_failure(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["omega"]
     assert not (tmp_path / "out" / "profile_delta0.0002_q0.001.txt").exists()
+
+
+def test_dt_above_the_cfl_bound_is_a_config_error(tmp_path):
+    # dr = 20/399, so the bound 0.5 dr is about 0.025
+    body = """
+        [grid]
+        r_max = 20.0
+        n = 400
+
+        [dynamics]
+        dt = {}
+
+        [output]
+        out_dir = {}
+        """
+    path = _cfg(tmp_path, body.format(0.04, tmp_path / "out"))
+    with pytest.raises(ConfigError, match="dt: exceeds the CFL bound"):
+        parse_config(path)
+    assert main(["evolve", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
+    ok = _cfg(tmp_path, body.format(0.025, tmp_path / "out"), name="ok.cfg")
+    assert parse_config(ok).dt == 0.025
 
 
 def test_main_rejects_bad_config(tmp_path):

@@ -14,8 +14,10 @@ import pytest
 from qball import dynamics
 from qball.dynamics import (
     BlowUpError,
+    DEFAULT_DT_FACTOR,
     DynState,
     PERTURBATION_MODES,
+    SERIES_RANGE,
     TRACE_COLUMNS,
     charge_density,
     constrain,
@@ -29,6 +31,7 @@ from qball.dynamics import (
     stability_probe,
     step,
     theta_field,
+    _kick,
     _plain_distance,
 )
 from qball.solver import solve_profile
@@ -303,3 +306,94 @@ def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
     for mode in PERTURBATION_MODES:
         zero = report.by_mode(mode)[0]
         assert zero.eps == 0.0 and zero.trace is report.runs[0].trace
+
+
+def _closed_kick(spec, q, psi, pi, phi, tau):
+    """The gauge kick from a closed form free of cancellation.
+
+    exp(-ix) = cos x - i sin x and (1 - exp(-ix))/(ix) = (sin x
+    - 2i sin^2(x/2))/x, x = 2 q phi tau.
+    """
+    x = 2.0 * q * phi * tau
+    fac = np.cos(x) - 1j * np.sin(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = tau * np.where(x == 0.0, 1.0,
+                           (np.sin(x) - 2j * np.sin(0.5 * x) ** 2) / x)
+    src = (q ** 2 * phi ** 2 - spec.wp_over_s(np.abs(psi))) * psi
+    return fac * pi + src * g
+
+
+def _kick_fields(n, seed=3):
+    rng = np.random.default_rng(seed)
+    psi = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    pi = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return psi, pi
+
+
+def test_series_kick_matches_closed_form(spec):
+    q, tau = 0.05, 0.001
+    # |a tau| from 0 and 1e-12 up to just below the series range, both signs
+    x = np.concatenate(([0.0], np.logspace(-12, np.log10(SERIES_RANGE), 200)))
+    x[-1] = np.nextafter(SERIES_RANGE, 0.0)
+    x = np.concatenate((x, -x))
+    phi = x / (2.0 * q * tau)
+    psi, pi = _kick_fields(x.size)
+    zero = np.zeros_like(psi)
+    # pi = 0 leaves g src, psi = 0 leaves exp(-i a tau) pi
+    for psi_, pi_ in ((psi, zero), (zero, pi)):
+        got = _kick(spec, q, psi_, np.abs(psi_), pi_, phi, tau)
+        want = _closed_kick(spec, q, psi_, pi_, phi, tau)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_kick_takes_the_closed_form_above_the_series_range(spec, grid):
+    # a strong coupling: |a tau| up to 0.2, crossing zero where phi does
+    q, tau = 0.5, 0.05
+    phi = 2.0 * np.cos(0.3 * grid.r)
+    x = 2.0 * q * phi * tau
+    assert np.max(np.abs(x)) > 100.0 * SERIES_RANGE
+    psi, pi = _kick_fields(grid.n)
+    got = _kick(spec, q, psi, np.abs(psi), pi, phi, tau)
+    want = _closed_kick(spec, q, psi, pi, phi, tau)
+    # the series alone would be off by (a tau)^4/24, about 7e-5 here
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_evolve_monitors_match_the_public_functions(spec, charged_profile):
+    base = lift_profile(charged_profile, spec)
+    start = perturb(base, "amplitude", 0.01)
+    dt = DEFAULT_DT_FACTOR * base.grid.dr
+    trace = evolve(start, 12 * dt, dt, sample_every=4, reference=base)
+    states = [start]
+    for _ in range(3):
+        cur = states[-1]
+        for _ in range(4):
+            cur = step(cur, dt)
+        states.append(cur)
+    assert trace.e0 == dyn_energy(base)
+    assert trace.c0 == dyn_charge(base)
+    assert list(trace.E) == [dyn_energy(s) for s in states]
+    assert list(trace.C) == [dyn_charge(s) for s in states]
+    assert list(trace.d) == [orbit_distance(s, base) for s in states]
+
+
+# E, C, d and sponge_flux after 2000 steps of the kicked q = 0.02 profile,
+# from the split step as it stood before the series kick (closed form
+# everywhere).  That form's (1 - exp(-i a tau))/(i a) loses about
+# 1e-16/|a tau| to cancellation, up to 1e-9 relative per kick in the
+# tail where phi is small; the 4e-18 of sponge flux is collected there,
+# so it is held to 1e-8.  With that g evaluated free of cancellation the
+# old step reproduces the current one to 1e-14 in all four.
+FROZEN_KICKED = {"E": 12.789313915396882, "C": -14.054228774928138,
+                 "d": 0.06394118851331686, "sponge_flux": 3.916663579828213e-18}
+
+
+def test_kicked_charged_profile_regression(spec, charged_profile):
+    base = lift_profile(charged_profile, spec)
+    dt = DEFAULT_DT_FACTOR * base.grid.dr
+    trace = evolve(perturb(base, "amplitude", 0.01), 2000 * dt, dt,
+                   sample_every=2000, reference=base)
+    tol = {"E": 1e-10, "C": 1e-10, "d": 1e-10, "sponge_flux": 1e-8}
+    for name, want in FROZEN_KICKED.items():
+        got = getattr(trace, name)[-1]
+        assert abs(got - want) <= tol[name] * abs(want), name

@@ -286,6 +286,39 @@ def test_columnar_roundtrip(tmp_path, grid, rng):
         assert np.array_equal(a, b)      # %.17g round-trips float64
 
 
+def test_columnar_rows_are_per_value_17g(tmp_path):
+    # normal doubles, signed zeros, subnormals, infinities and nan, in a
+    # 4000 x 7 block like a profile file
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(4000, 7)) * 10.0 ** rng.integers(-300, 300,
+                                                              (4000, 7))
+    special = [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan,
+               np.finfo(float).max, np.finfo(float).tiny, 1.0 / 3.0]
+    data.flat[:len(special)] = special
+    data[-1] = special[-7:]
+    cols = {f"c{j}": data[:, j] for j in range(7)}
+    p = tmp_path / "block.dat"
+    fields.write_columnar(p, {"n": 4000, "x": 0.1}, cols)
+    want = ("# n=4000\n# x=0.10000000000000001\n# columns=c0 c1 c2 c3 c4 c5 c6\n"
+            + "".join(" ".join(f"{x:.17g}" for x in row) + "\n"
+                      for row in data))
+    assert p.read_text() == want
+
+
+def test_grid_caches_match_their_formulas(grid):
+    assert np.array_equal(grid.r2, grid.r ** 2)
+    assert np.array_equal(grid.dr2_r2, grid.dr ** 2 * grid.r[1:] ** 2)
+    for dt in (0.002, 0.004, 0.002):
+        start, damp, loss = grid.sponge_factors(dt)
+        assert not np.any(grid.sponge[:start]) and grid.sponge[start] > 0.0
+        assert np.array_equal(damp, np.exp(-grid.sponge[start:] * dt))
+        assert np.array_equal(loss, 0.5 * grid.w[start:] * (1.0 - damp ** 2))
+    with pytest.raises(ValueError):
+        grid.r2[1] = 0.0
+    with pytest.raises(ValueError):
+        damp[0] = 1.0
+
+
 def test_quadrature_second_order():
     # fixed smooth state evaluated on a dr-halving triple; the boundary
     # value is nonzero so plain second-order trapezoid behavior is visible

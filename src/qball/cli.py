@@ -21,7 +21,8 @@ import tempfile
 
 import numpy as np
 
-from .potential import PotentialSpec, check_admissibility, hylomorphy_constants
+from .potential import (PRESET_KEYS, PotentialSpec, check_admissibility,
+                        hylomorphy_constants)
 from .hylomorphy import calibrate_constants, q_threshold, ratio_bound, ratio_sweep
 from .fields import RadialGrid, fan_out
 from .solver import DEFAULT_OMEGA_LIST, SolveOptions, family_sweep, solve_profile
@@ -92,10 +93,7 @@ def _strings(text):
 # (section, key) -> converter; None means keep the raw string
 _SCHEMA = {
     ("potential", "preset"): str,
-    ("potential", "m"): float,
-    ("potential", "s_bar"): float,
-    ("potential", "a"): float,
-    ("potential", "b"): float,
+    **{("potential", k): float for keys in PRESET_KEYS.values() for k in keys},
     ("grid", "r_max"): float,
     ("grid", "n"): int,
     ("charge", "q"): float,
@@ -179,14 +177,15 @@ def parse_config(path):
             raise ConfigError(f"{key}: values must differ in their first six "
                               "significant digits", lines.get((section, key)))
 
+    potential = {k: v for (sec, k), v in values.items() if sec == "potential"}
     try:
-        spec = PotentialSpec(get("potential", "preset", "double_well"),
-                             m=get("potential", "m", 1.0),
-                             s_bar=get("potential", "s_bar", 1.0),
-                             a=get("potential", "a", 0.0),
-                             b=get("potential", "b", 0.0))
+        spec = PotentialSpec(potential.pop("preset", "double_well"), **potential)
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
+    unread = sorted(potential.keys() - set(PRESET_KEYS[spec.name]))
+    if unread:
+        raise ConfigError(f"{unread[0]}: preset {spec.name} does not read "
+                          "this key", lines[("potential", unread[0])])
 
     r_max = get("grid", "r_max", 40.0)
     n = get("grid", "n", 4000)

@@ -34,7 +34,8 @@ import dataclasses
 
 import numpy as np
 
-from .fields import fan_out, gauss_potential, solve_poisson
+from .fields import (energy_norm, fan_out, gauss_potential, norm_sq,
+                     solve_poisson)
 
 CFL_LIMIT = 0.5           # dt must stay below this times dr
 DEFAULT_DT_FACTOR = 0.2
@@ -225,9 +226,14 @@ def _monitor_terms(state):
     return state.d_t_psi, state.grid.d_dr(state.psi)
 
 
+def _norm_terms(chi, dpsi, psi, e_r):
+    """(k2, s) of fields.norm_sq: |chi|^2 + |dpsi|^2 + e_r^2 and |psi|."""
+    return np.abs(chi) ** 2 + np.abs(dpsi) ** 2 + e_r ** 2, np.abs(psi)
+
+
 def _energy(state, chi, dpsi):
-    dens = 0.5 * (np.abs(chi) ** 2 + np.abs(dpsi) ** 2 + state.e_r ** 2)
-    return float(state.grid.w @ (dens + state.spec.w(np.abs(state.psi))))
+    return energy_norm(state.spec, state.grid.w,
+                       *_norm_terms(chi, dpsi, state.psi, state.e_r))[0]
 
 
 def dyn_energy(state):
@@ -244,16 +250,10 @@ def dyn_charge(state):
     return _charge(state, state.d_t_psi)
 
 
-def _energy_norm_sq(g, chi, dpsi, psi, e_r, m2):
-    """int (|chi|^2 + |dpsi|^2 + m^2 |psi|^2 + e_r^2)."""
-    return float(g.w @ (np.abs(chi) ** 2 + np.abs(dpsi) ** 2
-                        + m2 * np.abs(psi) ** 2 + e_r ** 2))
-
-
 def dyn_norm_sq(state):
     """int (|D_t psi|^2 + |d_r psi|^2 + m^2 |psi|^2 + E_r^2)."""
-    return _energy_norm_sq(state.grid, *_monitor_terms(state), state.psi,
-                           state.e_r, state.spec.m ** 2)
+    return norm_sq(state.spec, state.grid.w,
+                   *_norm_terms(*_monitor_terms(state), state.psi, state.e_r))
 
 
 def _distance(state, chi, dpsi, ref, chi0, dpsi0):
@@ -262,8 +262,9 @@ def _distance(state, chi, dpsi, ref, chi0, dpsi0):
     z = complex(g.w @ (chi * np.conj(chi0) + dpsi * np.conj(dpsi0)
                        + m2 * state.psi * np.conj(ref.psi)))
     rot = z / abs(z) if z != 0.0 else 1.0
-    d2 = _energy_norm_sq(g, chi - rot * chi0, dpsi - rot * dpsi0,
-                         state.psi - rot * ref.psi, state.e_r - ref.e_r, m2)
+    d2 = norm_sq(state.spec, g.w, *_norm_terms(
+        chi - rot * chi0, dpsi - rot * dpsi0, state.psi - rot * ref.psi,
+        state.e_r - ref.e_r))
     return np.sqrt(max(d2, 0.0))
 
 
@@ -329,8 +330,8 @@ def _plain_distance(state, ref):
     """Energy-norm distance without the phase minimization."""
     g = state.grid
     diff = state.psi - ref.psi
-    d2 = _energy_norm_sq(g, state.d_t_psi - ref.d_t_psi, g.d_dr(diff), diff,
-                         state.e_r - ref.e_r, state.spec.m ** 2)
+    d2 = norm_sq(state.spec, g.w, *_norm_terms(
+        state.d_t_psi - ref.d_t_psi, g.d_dr(diff), diff, state.e_r - ref.e_r))
     return np.sqrt(max(d2, 0.0))
 
 

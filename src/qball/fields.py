@@ -211,20 +211,31 @@ class Functionals:
     nonlinear: float        # int N(u)
 
 
-def functionals(state, spec):
-    """Evaluate energy, charge, and the energy norm in one pass."""
+def norm_sq(spec, w, k2, s):
+    """||.||^2 = int (k2 + m^2 s^2) under the quadrature weights w."""
+    return float(w @ (k2 + spec.m ** 2 * (s * s)))
+
+
+def energy_norm(spec, w, k2, s):
+    """(E, ||.||^2, int N(s)) with E = ||.||^2 / 2 + int N(s): the one energy.
+
+    k2 sums the squares of the time, radial and field parts of a state
+    and s is the modulus of its matter field, |u| or |psi|.
+    """
+    norm = norm_sq(spec, w, k2, s)
+    nonlinear = float(w @ spec.n(s))
+    return 0.5 * norm + nonlinear, norm, nonlinear
+
+
+def functionals(state, spec, w=None):
+    """Energy, charge and energy norm in one pass, under weights w or g.w."""
     _require_finite(state)
-    g = state.grid
-    du = g.d_dr(state.u)
-    quad2 = (state.u_hat ** 2 + du ** 2 + state.theta ** 2
-             + state.Theta ** 2 + state.E_r ** 2)
-    quadratic = 0.5 * g.integrate(quad2)
-    mass_sq = g.integrate(state.u ** 2)
-    nonlinear = g.integrate(spec.n(np.abs(state.u)))
-    e = quadratic + 0.5 * spec.m ** 2 * mass_sq + nonlinear
-    c = g.integrate(state.theta * state.u)
-    norm_sq = 2.0 * quadratic + spec.m ** 2 * mass_sq
-    return Functionals(e, c, norm_sq, quadratic, nonlinear)
+    w = state.grid.w if w is None else w
+    k2 = (state.u_hat ** 2 + state.grid.d_dr(state.u) ** 2 + state.theta ** 2
+          + state.Theta ** 2 + state.E_r ** 2)
+    e, norm, nonlinear = energy_norm(spec, w, k2, np.abs(state.u))
+    return Functionals(e, float(w @ (state.theta * state.u)), norm,
+                       0.5 * float(w @ k2), nonlinear)
 
 
 def energy(state, spec):
@@ -245,19 +256,14 @@ def energy_norm_sq(state, spec):
 
 def local_ratio(state, r_lo, r_hi, spec):
     """(1/2) (norm^2 on the shell) / |shell charge|, the cell-ratio diagnostic."""
-    _require_finite(state)
     g = state.grid
     if not (0.0 <= r_lo < r_hi <= g.r_max):
         raise ValueError("need 0 <= r_lo < r_hi <= r_max")
-    mask = (g.r >= r_lo) & (g.r <= r_hi)
-    du = g.d_dr(state.u)
-    dens = (state.u_hat ** 2 + du ** 2 + spec.m ** 2 * state.u ** 2
-            + state.theta ** 2 + state.Theta ** 2 + state.E_r ** 2)
-    norm_sq = float(g.w[mask] @ dens[mask])
-    c = float(g.w[mask] @ (state.theta * state.u)[mask])
-    if c == 0.0:
+    shell = functionals(state, spec,
+                        np.where((g.r >= r_lo) & (g.r <= r_hi), g.w, 0.0))
+    if shell.charge == 0.0:
         raise ZeroShellChargeError("shell carries no charge, ratio undefined")
-    return 0.5 * norm_sq / abs(c)
+    return 0.5 * shell.energy_norm_sq / abs(shell.charge)
 
 
 def cumulative_charge(source, grid):

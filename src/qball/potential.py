@@ -2,11 +2,11 @@
 
 A potential enters the rest of the stack only through scalar callables
 (W, W', W'', N, N', and the regularized quotient W'(s)/s used by the
-complex-field evolution).  Four structural conditions are certified
-numerically on a sample range:
+complex-field evolution), each a polynomial evaluation.  Four structural
+conditions are certified, three of them numerically on a sample range:
 
 * positivity:    W(s) >= 0 on [0, s_max],
-* nondegeneracy: W''(0) = m^2,
+* nondegeneracy: W''(0) = m^2, read exactly off the polynomial,
 * hylomorphy:    alpha(s) = sqrt(2 W(s))/s dips below m somewhere, which
   yields witnesses (alpha, s_bar) with W(s_bar) <= alpha^2 s_bar^2 / 2,
 * growth:        |N'(s)| <= a s^(p-1) + b s^(2-2/p) for the declared
@@ -17,6 +17,7 @@ states and the coupling-threshold search in the ``hylomorphy`` module.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy.optimize import linprog
@@ -32,96 +33,96 @@ class AdmissibilityError(ValueError):
         self.assumption = assumption
 
 
+# the config keys each preset reads (s_bar also scales the descent seed)
+PRESET_KEYS = {"double_well": ("m", "s_bar"), "pure_mass": ("m", "s_bar"),
+               "poly46": ("m", "s_bar", "a", "b")}
+
+
+def _poly(k, coeffs):
+    """(k', g, c) with s^k sum_j coeffs_j s^j = s^k' sum_j c_j s^(g j), zero
+    end terms moved into k' and g = 2 when only even offsets are left."""
+    c = list(coeffs)
+    while c and c[-1] == 0.0:
+        c.pop()
+    while c and c[0] == 0.0:
+        c.pop(0)
+        k += 1
+    g = 2 if len(c) > 1 and not any(c[1::2]) else 1
+    return k if c else 0, g, tuple(c[::g])
+
+
+def _horner(poly, s):
+    """s^k (c_0 + c_1 x + ... + c_d x^d), x = s^g, by Horner's rule."""
+    k, g, c = poly
+    s = np.asarray(s, dtype=float)
+    if len(c) < 2:
+        acc = np.full_like(s, c[0] if c else 0.0)
+    else:
+        x = s * s if g == 2 else s
+        acc = c[-1] * x
+        for cj in c[-2:0:-1]:
+            acc += cj
+            acc *= x
+        acc += c[0]
+    for _ in range(k):
+        acc *= s
+    return acc
+
+
 @dataclasses.dataclass(frozen=True)
 class PotentialSpec:
     """Immutable potential descriptor: preset name, mass, coefficients.
 
-    Presets:
-      double_well: W = (m^2/2) s^2 (1 - s/s_bar)^2, declared growth p=4
+    Presets, each a polynomial W(s) = (m^2/2) s^2 + N(s):
+      double_well: W = (m^2/2) s^2 (1 - s/s_bar)^2
       pure_mass:   W = (m^2/2) s^2                 (no binding possible)
-      poly46:      W = (m^2/2) s^2 - (a/4) s^4 + (b/6) s^6, declared p=6
+      poly46:      W = (m^2/2) s^2 - (a/4) s^4 + (b/6) s^6
+
+    Only the constructor reads the preset name.  It keeps W'(s)/s =
+    m^2 + c_1 s + ... as coeffs, the field scale as s_scale (s_bar for
+    double_well, sqrt(3a/(2b)) for poly46 with a, b > 0, else 1), and
+    binds w, wp, wpp, n, nprime and wp_over_s, vectorized, to one Horner
+    evaluation each of W, W', W'', N, N' and W'/s (N = 0 for pure_mass).
+    The declared growth exponent is growth_p = max(4, deg W).
     """
 
     name: str
     m: float = 1.0
-    s_bar: float = 1.0   # double_well plateau scale
+    s_bar: float = 1.0   # double_well plateau scale; descent seed amplitude
     a: float = 0.0       # poly46 quartic coefficient
     b: float = 0.0       # poly46 sextic coefficient
 
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError("mass parameter must be positive")
-        if self.name not in ("double_well", "pure_mass", "poly46"):
+        if self.name not in PRESET_KEYS:
             raise ValueError(f"unknown potential preset {self.name!r}")
-        if self.name == "double_well" and self.s_bar <= 0:
-            raise ValueError("double_well needs s_bar > 0")
-
-    # ---- scalar callables (vectorized over numpy arrays) ----
-
-    def w(self, s):
-        s = np.asarray(s, dtype=float)
-        m2 = self.m ** 2
+        m2, scale = self.m ** 2, 1.0
         if self.name == "double_well":
-            return 0.5 * m2 * s * s * (1.0 - s / self.s_bar) ** 2
-        if self.name == "pure_mass":
-            return 0.5 * m2 * s * s
-        return 0.5 * m2 * s * s - 0.25 * self.a * s ** 4 + self.b / 6.0 * s ** 6
-
-    def wp(self, s):
-        s = np.asarray(s, dtype=float)
-        m2 = self.m ** 2
-        if self.name == "double_well":
-            x = s / self.s_bar
-            return m2 * s * (1.0 - x) * (1.0 - 2.0 * x)
-        if self.name == "pure_mass":
-            return m2 * s
-        return m2 * s - self.a * s ** 3 + self.b * s ** 5
-
-    def wpp(self, s):
-        s = np.asarray(s, dtype=float)
-        m2 = self.m ** 2
-        if self.name == "double_well":
-            x = s / self.s_bar
-            return m2 * (1.0 - 6.0 * x + 6.0 * x * x)
-        if self.name == "pure_mass":
-            return m2 * np.ones_like(s)
-        return m2 - 3.0 * self.a * s ** 2 + 5.0 * self.b * s ** 4
-
-    def n(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.w(s) - 0.5 * self.m ** 2 * s * s
-
-    def nprime(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.wp(s) - self.m ** 2 * s
-
-    def wp_over_s(self, s):
-        """W'(s)/s evaluated without dividing, finite at s = 0.
-
-        This is the coefficient h(s) in the complex-field force
-        W'(|psi|) psi/|psi| = h(|psi|) psi.
-        """
-        s = np.asarray(s, dtype=float)
-        m2 = self.m ** 2
-        if self.name == "double_well":
-            x = s / self.s_bar
-            return m2 * (1.0 - x) * (1.0 - 2.0 * x)
-        if self.name == "pure_mass":
-            return m2 * np.ones_like(s)
-        return m2 - self.a * s ** 2 + self.b * s ** 4
-
-    @property
-    def growth_p(self):
-        return 6.0 if self.name == "poly46" else 4.0
-
-    @property
-    def s_scale(self):
-        """Natural field scale for sampling ranges."""
-        if self.name == "double_well":
-            return self.s_bar
-        if self.name == "poly46" and self.a > 0 and self.b > 0:
-            return float(np.sqrt(1.5 * self.a / self.b))
-        return 1.0
+            if self.s_bar <= 0:
+                raise ValueError("double_well needs s_bar > 0")
+            # m^2 (1 - x)(1 - 2x) with x = s/s_bar
+            coeffs = (m2, -3.0 * m2 / self.s_bar, 2.0 * m2 / self.s_bar ** 2)
+            scale = self.s_bar
+        elif self.name == "poly46":
+            coeffs = (m2, 0.0, -self.a, 0.0, self.b)
+            if self.a > 0 and self.b > 0:
+                scale = float(np.sqrt(1.5 * self.a / self.b))
+        else:
+            coeffs = (m2,)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "s_scale", scale)
+        deg_w = 2 + max(j for j, cj in enumerate(coeffs) if cj)
+        object.__setattr__(self, "growth_p", float(max(4, deg_w)))
+        nl = coeffs[1:]        # N'(s) = s^2 (c_1 + c_2 s + ...)
+        for name, k, c in (
+                ("wp_over_s", 0, coeffs), ("wp", 1, coeffs),
+                ("wpp", 0, [(j + 1) * cj for j, cj in enumerate(coeffs)]),
+                ("w", 2, [cj / (j + 2) for j, cj in enumerate(coeffs)]),
+                ("nprime", 2, nl),
+                ("n", 3, [cj / (j + 3) for j, cj in enumerate(nl)])):
+            object.__setattr__(self, name,
+                               functools.partial(_horner, _poly(k, c)))
 
 
 def default_potential(m=1.0, s_bar=1.0):
@@ -183,11 +184,7 @@ def check_admissibility(spec, s_max=None):
     w = spec.w(s)
     positivity = bool(np.all(w >= -1e-12))
 
-    # W''(0) by one-sided second differences, Richardson-extrapolated.
-    h = 1e-4 * spec.s_scale
-    d2 = lambda hh: (spec.w(2 * hh) - 2 * spec.w(hh) + spec.w(0.0)) / hh ** 2
-    wpp0 = 2.0 * d2(h) - d2(2 * h)
-    nondegenerate = bool(abs(wpp0 - spec.m ** 2) <= 1e-6 * spec.m ** 2)
+    nondegenerate = bool(abs(spec.wpp(0.0) - spec.m ** 2) <= 1e-6 * spec.m ** 2)
 
     sp = s[1:]
     alpha = _alpha_curve(spec, sp)
@@ -213,8 +210,8 @@ def _fit_growth(spec, s):
     """Smallest feasible (a, b) with |N'(s_i)| <= a s_i^(p-1) + b s_i^(2-2/p).
 
     Linear program minimizing a + b subject to the sampled inequalities.
-    The sextic preset tops out exactly at the excluded exponent p = 6, so
-    it is reported "marginal" even when the bounded-range fit succeeds.
+    A sextic W tops out exactly at the excluded exponent p = 6, so it is
+    reported "marginal" even when the bounded-range fit succeeds.
     """
     p = spec.growth_p
     target = np.abs(spec.nprime(s))
@@ -225,7 +222,7 @@ def _fit_growth(spec, s):
                   bounds=[(0, None), (0, None)], method="highs")
     if not res.success:
         return "fail", None, None
-    verdict = "marginal" if (spec.name == "poly46" and spec.b != 0.0) else "pass"
+    verdict = "marginal" if p == 6.0 else "pass"
     return verdict, float(res.x[0]), float(res.x[1])
 
 

@@ -22,7 +22,6 @@ import warnings
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
                      functionals, gauss_field, gauss_residual,
@@ -34,7 +33,7 @@ DAMPING = 0.5           # relaxation factor on phi updates
 SCAN_SIZE = 64          # shooting candidates per pass
 SCAN_PASSES = 6
 COARSEN = 4             # cold solves shoot on every COARSEN-th node
-BRACKET_LO = 0.1        # initial u(0) bracket, in units of s_bar
+BRACKET_LO = 0.1        # initial u(0) bracket, in units of spec.s_scale
 BRACKET_HI = 10.0
 MAX_NEWTON = 60
 TAIL_WARN = 1e-8        # warn when u(r_max - dr) exceeds this times u(0)
@@ -147,8 +146,8 @@ def shoot_u_given_phi(spec, omega, phi, q, grid):
     """
     if not 0.0 < omega < spec.m:
         raise ValueError("omega must lie strictly between 0 and the mass m")
-    lo = BRACKET_LO * spec.s_bar
-    hi = BRACKET_HI * spec.s_bar
+    lo = BRACKET_LO * spec.s_scale
+    hi = BRACKET_HI * spec.s_scale
     capped = False
     lowered = False
     passes = 0
@@ -202,16 +201,12 @@ def shoot_u_given_phi(spec, omega, phi, q, grid):
 
 
 def _largest_force_root(spec, om_eff, lo, hi):
-    """Largest s in (lo, hi] with W'(s) = om_eff^2 s, or None if absent."""
-    s = np.linspace(max(lo, 1e-9), hi, 4096)
-    g = spec.wp(s) - om_eff ** 2 * s
-    sign = np.sign(g)
-    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    if flips.size == 0:
-        return None
-    k = int(flips[-1])
-    return float(brentq(lambda x: spec.wp(x) - om_eff ** 2 * x,
-                        s[k], s[k + 1]))
+    """Largest real root in (lo, hi] of W'(s)/s = om_eff^2, or None."""
+    c = np.array(spec.coeffs, dtype=float)
+    c[0] -= om_eff ** 2
+    s = np.roots(c[::-1])
+    s = s.real[(s.imag == 0.0) & (s.real > lo) & (s.real <= hi)]
+    return float(s.max()) if s.size else None
 
 
 def _march(spec, omega, q, phi, grid, u0_vec, record=False):

@@ -57,27 +57,27 @@ TINY_DIGESTS = {
     "check-potential/admissibility.txt":
         "96d5fbb122f697e6c83440d61db8b59e6ab039b3cd1d948c6453d51e038c1f9c",
     "hylomorphy/hylomorphy.csv":
-        "93ff364a8483d1592e1dee79ad983bff72414181460de46d9774aa34229a084a",
+        "a385fbf85450aafff7adcc7c85770d5af48deccd3532b2c8650411b9bb8d60de",
     "hylomorphy/hylomorphy.txt":
-        "511d19f20c2c8d18f91ee8b6c413de57ae67ea99ee74c14dc25fb2f7f73654e8",
+        "1a41d66df31e59bc93f10bb30553c8b3760b6e35d6aa81c7ebc9a202405d5032",
     "solve/profile_omega0.7_q0.01.txt":
-        "9d7484a3f7ea3783e488ba286584a54b42c0e074bca6d9cbda6da752441a3976",
+        "8ba7fa81d4e2f781fdf376fee1dc2d7931bc072bca3dc07f3207e4044866f295",
     "solve/profile_omega0.8_q0.01.txt":
-        "7661494f55977b8ce479da39bee8d1dabd023a78ee67a605f6f86dc58198ec4e",
+        "f334bfccc11077e4e2f437143856950b62c4ddafe1ab5d9065e8e27cd55f4e18",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
-        "272c4feaf4c9dc4f9ce347289d2cf7b2d09ee21d923c71af907860ddcc177805",
+        "aeef6ae0f77880291c60fb357b117a1f59cef842b0857ff888ea9b1b6c859e20",
     "evolve/evolve.txt":
-        "328178a912003882a72763e3c4c1b1de1327d0fabdb5bb65fd34fadc52d80410",
+        "d5006e7beded250950cb2e179e99fbc7a1f8ace9c5fe39a5e6635a4dc5b8e6b7",
     "evolve/trace_amplitude_eps0.01.csv":
-        "91ed1a7948a22ca3c40a37cbab02da64627390cf1ac5473b98bd9f536d8a9dac",
+        "10e0093aa1ff9fe69dfff454788a605902ab38b78886f270d4ee9b6d780d1696",
     "evolve/trace_noise_eps0.01.csv":
-        "883c7cc25483b463a792235ab101f91dccbfc3ca919386057984bea1085b74d1",
+        "403ece6ec8bbe487ab751673b979a17f699c796b54fd1b93453259ce0b227092",
     "evolve/trace_unperturbed.csv":
-        "e189642ac22f9d4d9ab95a91f05912fbc22fe9100d09abc4700213f09f9e83a4",
+        "ae928f4df4ca9a3128320136c9ba94f4919472e518f9f4e80ab9b0df1b489336",
     "evolve/trace_velocity_eps0.01.csv":
-        "34b86cee9007800209a6dac46bc348d7d98114b849540ac8f4db82c850992cce",
+        "677d5bdccff12d0b3ca07b1a9f646d68a4f3484bcb333d85400b95f614e020a9",
 }
 
 
@@ -204,6 +204,10 @@ def test_parse_field_validation(tmp_path):
         "[charge]\nq_range = 0.01, 0.0100001, 3": "q_range",
         "[dynamics]\neps_list = 0.01, 0.0100000001": "eps_list",
         "[output]\nworkers = 0": "workers",
+        # coefficients the preset does not read
+        "[potential]\npreset = double_well\na = 2": "a",
+        "[potential]\nb = 0.1": "b",
+        "[potential]\npreset = pure_mass\na = 0.5\nb = 0.1": "a",
     }
     for body, field in bad.items():
         with pytest.raises(ConfigError, match=field):

@@ -150,3 +150,64 @@ def test_poly46_constants_above_curve_minimum():
     # curve minimum sqrt(1 - 3 a^2/(16 b)) = sqrt(0.375) exceeds m/4
     assert alpha == pytest.approx(np.sqrt(0.375), rel=1e-4)
     assert spec.w(s_bar) <= 0.5 * alpha ** 2 * s_bar ** 2 * (1 + 1e-9)
+
+
+# closed forms of W, W', W'' and W'/s per preset, the oracle for the
+# polynomials derived from the coefficient tuple; N and N' follow by
+# subtracting the mass term
+CLOSED_FORMS = {
+    "double_well": (
+        lambda p, s: 0.5 * p.m ** 2 * s * s * (1.0 - s / p.s_bar) ** 2,
+        lambda p, s: p.m ** 2 * s * (1.0 - s / p.s_bar) * (1.0 - 2.0 * s / p.s_bar),
+        lambda p, s: p.m ** 2 * (1.0 - 6.0 * s / p.s_bar + 6.0 * (s / p.s_bar) ** 2),
+        lambda p, s: p.m ** 2 * (1.0 - s / p.s_bar) * (1.0 - 2.0 * s / p.s_bar),
+    ),
+    "pure_mass": (
+        lambda p, s: 0.5 * p.m ** 2 * s * s,
+        lambda p, s: p.m ** 2 * s,
+        lambda p, s: p.m ** 2 * np.ones_like(s),
+        lambda p, s: p.m ** 2 * np.ones_like(s),
+    ),
+    "poly46": (
+        lambda p, s: 0.5 * p.m ** 2 * s * s - 0.25 * p.a * s ** 4 + p.b / 6.0 * s ** 6,
+        lambda p, s: p.m ** 2 * s - p.a * s ** 3 + p.b * s ** 5,
+        lambda p, s: p.m ** 2 - 3.0 * p.a * s ** 2 + 5.0 * p.b * s ** 4,
+        lambda p, s: p.m ** 2 - p.a * s ** 2 + p.b * s ** 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", [
+    PotentialSpec("double_well", m=1.5, s_bar=2.0),
+    PotentialSpec("poly46", a=1.0, b=0.3),
+    PotentialSpec("pure_mass", m=2.0),
+])
+def test_polynomials_match_the_closed_forms(spec):
+    s = np.linspace(0.0, 10.0 * spec.s_scale, 2001)
+    w, wp, wpp, wp_over_s = (f(spec, s) for f in CLOSED_FORMS[spec.name])
+    want = {"w": w, "wp": wp, "wpp": wpp, "wp_over_s": wp_over_s,
+            "n": w - 0.5 * spec.m ** 2 * s * s, "nprime": wp - spec.m ** 2 * s}
+    for name, ref in want.items():
+        got = getattr(spec, name)(s)
+        assert got.shape == s.shape, name
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(w))), name
+
+
+def test_pure_mass_polynomials_are_exact():
+    spec = PotentialSpec("pure_mass", m=2.0)
+    s = np.linspace(0.0, 5.0, 11).reshape(1, 11)
+    assert np.all(spec.n(s) == 0.0) and np.all(spec.nprime(s) == 0.0)
+    # a constant polynomial keeps the shape of its argument
+    for f in (spec.wpp, spec.wp_over_s):
+        assert f(s).shape == (1, 11) and np.all(f(s) == 4.0)
+        assert np.shape(f(0.0)) == ()
+
+
+@pytest.mark.parametrize("spec, p", [
+    (default_potential(), 4.0),
+    (PotentialSpec("pure_mass"), 4.0),
+    (PotentialSpec("poly46", a=1.0, b=0.0), 4.0),
+    (PotentialSpec("poly46", a=1.0, b=0.3), 6.0),
+])
+def test_growth_exponent_is_max_of_four_and_degree(spec, p):
+    assert spec.growth_p == p

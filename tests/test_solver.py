@@ -13,6 +13,7 @@ import pytest
 from qball import solver
 from qball.fields import FieldState, RadialGrid, energy_norm_sq, gauss_residual
 from qball.hylomorphy import TestStateParams, build_test_state, exact_coulomb_field
+from qball.potential import PotentialSpec
 from qball.solver import (
     ChargeCollapseError,
     ConvergenceError,
@@ -474,3 +475,28 @@ def test_descent_seed_is_admissible(spec, grid):
     seed = descent_seed(spec, 0.5, grid)
     assert seed.q == 0.5
     assert np.max(np.abs(gauss_residual(seed))) < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_shooting_bracket_follows_the_field_scale():
+    # W_10(s) = 100 W(s/10) has the profile 10 u wherever W has u.  Its
+    # s_bar stays 1, so a bracket in units of s_bar finds no overshoot;
+    # one in units of s_scale shoots the same fan, ten times higher.
+    a, b = 0.9 * np.sqrt(8.0 / 3.0), 0.5
+    grid = RadialGrid(20.0, 600)
+    one = solve_profile(PotentialSpec("poly46", a=a, b=b), 0.8, 0.0, grid)
+    ten = solve_profile(PotentialSpec("poly46", a=a / 100.0, b=b / 1e4),
+                        0.8, 0.0, grid)
+    assert ten.u0 == pytest.approx(15.4447, abs=1e-4)
+    assert np.max(np.abs(ten.state.u - 10.0 * one.state.u)) <= 1e-13 * ten.u0
+
+
+def test_largest_force_root_is_the_closed_form(spec):
+    # W'(s)/s = (1 - s)(1 - 2s) = om^2 at s = (3 +- sqrt(1 + 8 om^2))/4
+    root = solver._largest_force_root
+    for om in (0.3, 0.5, 0.9):
+        big, small = (3.0 + np.array([1.0, -1.0]) * np.sqrt(1 + 8 * om * om)) / 4
+        assert root(spec, om, 0.01, 10.0) == pytest.approx(big, rel=1e-14)
+        assert root(spec, om, 0.01, 0.9 * big) == pytest.approx(small, rel=1e-14)
+        assert root(spec, om, 0.01, 0.9 * small) is None
+    assert root(PotentialSpec("pure_mass"), 0.5, 0.01, 10.0) is None

@@ -8,13 +8,13 @@ pair
 
 with u'(0) = 0, u(r_max) = 0, and an outgoing 1/r condition on phi.
 Two independent routes to the same discrete solution are provided: a
-direct route (shooting for u, damped alternation with the screened
-potential solve, Newton refinement of each) and a variational route
-(preconditioned descent on J = E/|C| + delta E^2 over the pair
-(u, theta), whose stationary points satisfy the same equations with
-omega appearing as the constraint multiplier).  A cold direct solve
-shoots on a coarser grid and polishes on the caller's grid one Newton
-step past tolerance, so it forgets the shooting seed to roundoff.
+direct route (shooting for u, then one Newton on the pair (u, phi)) and
+a variational route (preconditioned descent on J = E/|C| + delta E^2
+over the pair (u, theta), whose stationary points satisfy the same
+equations with omega appearing as the constraint multiplier).  A cold
+direct solve shoots on a coarser grid; the Newton runs on the caller's
+grid one step past tolerance, so the profile forgets its start (the
+shooting seed or a warm start) to roundoff.
 """
 
 import dataclasses
@@ -22,14 +22,13 @@ import warnings
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
                      functionals, gauss_field, gauss_residual,
                      potential_from_field, solve_poisson)
 
 DEFAULT_OMEGA_LIST = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
-MAX_OUTER = 60          # u/phi alternation sweeps
-DAMPING = 0.5           # relaxation factor on phi updates
 SCAN_SIZE = 64          # shooting candidates per pass
 SCAN_PASSES = 6
 COARSEN = 4             # cold solves shoot on every COARSEN-th node
@@ -52,7 +51,7 @@ class ChargeCollapseError(RuntimeError):
 class SolveOptions:
     """The ``[solver]`` config keys; the other solver limits are constants."""
     tol: float = 1e-6            # residual target for the coupled system
-    newton_tol: float = 1e-7     # inner Newton target, kept below tol
+    newton_tol: float = 1e-7     # Newton stops one step past this
     flow_max_iter: int = 6000
     flow_res_tol: float = 5e-5   # field-equation residual target for descent
     charge_floor: float = 1e-8   # |C| below this aborts the descent
@@ -71,16 +70,15 @@ class SolitonProfile:
     E: float
     C: float
     Lambda: float
-    res1: float                  # field-equation residual of u
-    res2: float                  # screened-potential residual of phi
+    res1: float                  # residual of the profile equation
+    res2: float                  # residual of the screened-potential equation
     u0: float
     tail_ratio: float
     delta: float | None = None   # set when produced by the descent route
     fit_residual: float | None = None
     flow_iters: int | None = None
     flow_stalled: bool | None = None  # descent stopped on a stalled J
-    newton_iters: int | None = None   # direct route: Newton steps, all polishes
-    outer_sweeps: int | None = None   # direct route: u/phi alternation sweeps
+    newton_iters: int | None = None   # direct route: coupled Newton steps
 
 
 def _screened_system(u, omega, q, grid):
@@ -117,21 +115,16 @@ def solve_phi_given_u(u, omega, q, grid):
     return _banded_solve(*_screened_system(u, omega, q, grid))
 
 
-def screened_residual(u, omega, q, grid, phi):
-    """Weighted residual norm of the potential equation at (u, phi)."""
-    if q == 0.0:
-        return float(np.sqrt(grid.integrate(phi * phi)))
+def _residual(spec, omega, q, grid, u, phi):
+    """Residuals at (u, phi): columns F1 (profile) and F2 (potential)."""
+    F = np.empty((grid.n, 2))
+    F[:, 0] = -grid.laplacian(u) + spec.wp(u) - (omega - q * phi) ** 2 * u
+    F[-1, 0] = u[-1]
     a_low, a_diag, a_up, rhs = _screened_system(u, omega, q, grid)
-    y = a_diag * phi - rhs
-    y[:-1] += a_up[:-1] * phi[1:]
-    y[1:] += a_low[1:] * phi[:-1]
-    return float(np.sqrt(grid.integrate(y * y)))
-
-
-def _field_residual(spec, omega, q, phi, grid, u):
-    G = -grid.laplacian(u) + spec.wp(u) - (omega - q * phi) ** 2 * u
-    G[-1] = u[-1]
-    return G
+    F[:, 1] = a_diag * phi - rhs
+    F[:-1, 1] += a_up[:-1] * phi[1:]
+    F[1:, 1] += a_low[1:] * phi[:-1]
+    return F
 
 
 def shoot_u_given_phi(spec, omega, phi, q, grid):
@@ -257,48 +250,65 @@ def _march(spec, omega, q, phi, grid, u0_vec, record=False):
     return status
 
 
-def newton_polish(spec, omega, phi, q, grid, u, opts=None, extra_step=False,
-                  history=None):
-    """Drive the discrete profile equation to tolerance from a nearby guess.
+def newton_polish(spec, omega, q, grid, u, phi, opts=None, history=None):
+    """Drive the discrete pair (u, phi) to tolerance from a nearby guess.
 
-    With extra_step, one more step follows the first iterate that meets
-    newton_tol, so the result forgets the guess down to roundoff; if the
-    line search finds no decrease at that floor, the iterate is kept.
-    Each step taken appends the residual it started from to history.
+    One Newton on both equations; the unknowns interleave as [u_0, phi_0,
+    u_1, phi_1, ...], so the Jacobian is banded (2, 2).  One step follows
+    the first iterate whose residuals both meet newton_tol, so the result
+    forgets the guess to roundoff; if the line search finds no decrease
+    at that floor, the iterate is kept.  Returns (u, phi, res1, res2) and
+    appends to history the (res1, res2) each step started from.
     """
     opts = opts or SolveOptions()
     lower, diag, upper = grid.lap_bands
-    om2 = (omega - q * phi) ** 2
-    x = np.array(u, dtype=float)
-    G = _field_residual(spec, omega, q, phi, grid, x)
+    # LAPACK band storage, A[i, j] at ab[4 + i - j, j]: rows 0-1 take the
+    # LU fill, and the row u[-1] = 0 has no off-diagonal entries
+    ab = np.zeros((7, 2 * grid.n), order="F")
+    x = np.column_stack((u, phi)).astype(float).ravel()
+    F = _residual(spec, omega, q, grid, x[0::2], x[1::2])
+    extra = True
     for _ in range(MAX_NEWTON):
-        gnorm = float(np.sqrt(grid.integrate(G * G)))
-        met = gnorm < opts.newton_tol
-        if met and not extra_step:
-            return x, gnorm
-        j_low = -lower
-        j_diag = -diag + spec.wpp(x) - om2
-        j_up = -upper
-        j_low[-1] = 0.0
-        j_diag[-1] = 1.0
-        step = _banded_solve(j_low, j_diag, j_up, -G)
-        merit = np.dot(G, G)
+        res1, res2 = np.sqrt(grid.w @ F ** 2)
+        met = max(res1, res2) < opts.newton_tol
+        if met and not extra:
+            break
+        u, phi = x[0::2], x[1::2]
+        big = omega - q * phi
+        s_low, s_diag, s_up, _ = _screened_system(u, omega, q, grid)
+        ab[:] = 0.0
+        ab[2, 2::2] = -upper[:-1]
+        ab[2, 3::2] = s_up[:-1]
+        ab[3, 1:-1:2] = 2.0 * q * (big * u)[:-1]    # dF1/dphi
+        ab[4, 0::2] = -diag + spec.wpp(u) - big * big
+        ab[4, -2] = 1.0
+        ab[4, 1::2] = s_diag
+        ab[5, 0::2] = -2.0 * q * big * u            # dF2/du
+        ab[6, 0:-4:2] = -lower[1:-1]
+        ab[6, 1:-2:2] = s_low[1:]
+        *_, step, info = dgbsv(2, 2, ab, -F.ravel(), overwrite_ab=True,
+                               overwrite_b=True)
+        if info:
+            raise ConvergenceError("singular Newton matrix")
+        merit = np.vdot(F, F)
         t = 1.0
         for _ in range(20):
             xn = x + t * step
-            Gn = _field_residual(spec, omega, q, phi, grid, xn)
-            if np.all(np.isfinite(Gn)) and np.dot(Gn, Gn) < merit:
+            Fn = _residual(spec, omega, q, grid, xn[0::2], xn[1::2])
+            if np.all(np.isfinite(Fn)) and np.vdot(Fn, Fn) < merit:
                 break
             t *= 0.5
         else:
             if met:
-                return x, gnorm
+                break
             raise ConvergenceError("profile refinement stalled in line search")
-        x, G = xn, Gn
-        extra_step = extra_step and not met
+        x, F = xn, Fn
+        extra = extra and not met
         if history is not None:
-            history.append(gnorm)
-    raise ConvergenceError("profile refinement did not reach tolerance")
+            history.append((res1, res2))
+    else:
+        raise ConvergenceError("profile refinement did not reach tolerance")
+    return x[0::2].copy(), x[1::2].copy(), res1, res2
 
 
 def _assemble(spec, omega, q, grid, u, phi, res1, res2, **record):
@@ -321,44 +331,31 @@ def _assemble(spec, omega, q, grid, u, phi, res1, res2, **record):
 
 
 def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
-    """Direct route: shoot for u, then alternate with the potential solve.
+    """Direct route: shoot for u, then one Newton on the pair (u, phi).
 
-    A cold solve shoots on a grid COARSEN times coarser, interpolates,
-    and polishes on the caller's grid with the extra Newton step, landing
-    on the fine-grid fixed point to roundoff; an initial u may be given
-    instead to warm-start continuation sweeps.  Each phi update is relaxed
-    by the damping factor and u is re-polished against the new potential;
-    both residuals must pass the tolerance.
+    A cold solve shoots on a grid COARSEN times coarser and interpolates
+    onto the caller's grid; an initial u may be given instead to
+    warm-start continuation sweeps.  Either way phi starts at zero and
+    newton_polish takes both one step past newton_tol, so the profile
+    forgets its start to roundoff.  Both residuals must pass tol.
     """
     opts = opts or SolveOptions()
     if not 0.0 < omega < spec.m:
         raise ValueError("omega must lie strictly between 0 and the mass m")
-    phi = np.zeros(grid.n)
-    steps = []
     if init_u is not None:
-        u = np.array(init_u, dtype=float)
+        u = init_u
     else:
         coarse = RadialGrid(grid.r_max, max((grid.n - 1) // COARSEN + 1, 3))
         u = np.interp(grid.r, coarse.r, shoot_u_given_phi(
             spec, omega, np.zeros(coarse.n), q, coarse))
-    u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts,
-                            extra_step=init_u is None, history=steps)
-    res2 = screened_residual(u, omega, q, grid, phi)
-    sweeps = 0
-    if q != 0.0:
-        for sweeps in range(MAX_OUTER):
-            if res1 < opts.tol and res2 < opts.tol:
-                break
-            target = solve_phi_given_u(u, omega, q, grid)
-            phi = phi + DAMPING * (target - phi)
-            u, res1 = newton_polish(spec, omega, phi, q, grid, u, opts,
-                                    history=steps)
-            res2 = screened_residual(u, omega, q, grid, phi)
-        else:
-            raise ConvergenceError(
-                "alternation between profile and potential did not settle")
+    steps = []
+    u, phi, res1, res2 = newton_polish(spec, omega, q, grid, u,
+                                       np.zeros(grid.n), opts, history=steps)
+    if max(res1, res2) >= opts.tol:
+        raise ConvergenceError(f"residuals res1={res1:.6g} res2={res2:.6g} "
+                               f"not below tol={opts.tol:g}")
     return _assemble(spec, omega, q, grid, u, phi, res1, res2,
-                     newton_iters=len(steps), outer_sweeps=sweeps)
+                     newton_iters=len(steps))
 
 
 def _flow_energy(spec, q, grid, u, theta):
@@ -527,9 +524,8 @@ def minimize_J(spec, q, delta, init, opts=None):
         step = min(2.0 * t, 64.0)
         if iters % 25 == 0 or drop < FLOW_TOL * (1.0 + abs(cost)):
             omega_fit, phi_pos = _fit_omega(q, grid, u, theta, e_field)
-            res = np.sqrt(grid.integrate(
-                _field_residual(spec, omega_fit, q, -phi_pos, grid, u) ** 2))
-            if res < opts.flow_res_tol:
+            F = _residual(spec, omega_fit, q, grid, u, -phi_pos)
+            if np.sqrt(grid.w @ F[:, 0] ** 2) < opts.flow_res_tol:
                 break
             if drop < FLOW_TOL * (1.0 + abs(cost)):
                 stalled = True
@@ -541,9 +537,8 @@ def minimize_J(spec, q, delta, init, opts=None):
     fit_residual = float(np.sqrt(fit_num / fit_den)) if fit_den > 0 else np.inf
     # mirror onto the canonical branch: theta, phi, and E all flip sign
     phi = -phi_pos
-    res1 = float(np.sqrt(grid.integrate(
-        _field_residual(spec, omega_fit, q, phi, grid, u) ** 2)))
-    res2 = screened_residual(u, omega_fit, q, grid, phi)
+    res1, res2 = np.sqrt(
+        grid.w @ _residual(spec, omega_fit, q, grid, u, phi) ** 2)
     return _assemble(spec, omega_fit, q, grid, u, phi, res1, res2,
                      delta=delta, fit_residual=fit_residual, flow_iters=iters,
                      flow_stalled=stalled)
@@ -578,7 +573,8 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
     fresh solve, so a sweep of one point is a cold solve.  A descent
     point that stopped with res1 or res2 above flow_res_tol fails unless
     J stalled (then J sits at its roundoff floor, which further descent
-    does not lower).  Failures are recorded per point, not raised.
+    does not lower); one whose fitted omega is outside (0, m) fails as
+    no bound state.  Failures are recorded per point, not raised.
     """
     opts = opts or SolveOptions()
     if omega_list is not None and delta_list is not None:
@@ -610,6 +606,10 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
                         f"descent stopped after {prof.flow_iters} iterations, "
                         f"res1={prof.res1:.6g} res2={prof.res2:.6g} above "
                         f"flow_res_tol={opts.flow_res_tol:g}")
+                if not 0.0 < prof.omega < spec.m:
+                    raise ConvergenceError(
+                        f"descent fitted omega={prof.omega:.6g} outside "
+                        f"(0, m={spec.m:g})")
         except (ValueError, ConvergenceError, ChargeCollapseError) as exc:
             profiles.append(None)
             failures.append((val, str(exc)))

@@ -61,23 +61,23 @@ TINY_DIGESTS = {
     "hylomorphy/hylomorphy.txt":
         "1a41d66df31e59bc93f10bb30553c8b3760b6e35d6aa81c7ebc9a202405d5032",
     "solve/profile_omega0.7_q0.01.txt":
-        "8ba7fa81d4e2f781fdf376fee1dc2d7931bc072bca3dc07f3207e4044866f295",
+        "5eb502dab7fd0de0c42c30ce34a6395bdf6eb7cd26fa7a1c9d2b12678e483a84",
     "solve/profile_omega0.8_q0.01.txt":
-        "f334bfccc11077e4e2f437143856950b62c4ddafe1ab5d9065e8e27cd55f4e18",
+        "87a613c9c0de1359a10b6956e78c578ef6013268d4c9ae0285e13652cb65c452",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
-        "aeef6ae0f77880291c60fb357b117a1f59cef842b0857ff888ea9b1b6c859e20",
+        "4bf4c3d1fb380ce58f6b4d6087ccf0c10ed9c48a0179985fb28a4dd5210bf327",
     "evolve/evolve.txt":
-        "d5006e7beded250950cb2e179e99fbc7a1f8ace9c5fe39a5e6635a4dc5b8e6b7",
+        "323de78559a58c3851b6b9621cbd635b87950d51e2eb6514fc7b76deaf6d5860",
     "evolve/trace_amplitude_eps0.01.csv":
-        "10e0093aa1ff9fe69dfff454788a605902ab38b78886f270d4ee9b6d780d1696",
+        "357a31f75081b47bfad7cf77eb7c9ccbd86468fe9bece4d87dd3c229db969967",
     "evolve/trace_noise_eps0.01.csv":
-        "403ece6ec8bbe487ab751673b979a17f699c796b54fd1b93453259ce0b227092",
+        "015d7afbb06f0e93f0654b78a3e0a692c543d9e5ff7755eece0c846dea06c414",
     "evolve/trace_unperturbed.csv":
-        "ae928f4df4ca9a3128320136c9ba94f4919472e518f9f4e80ab9b0df1b489336",
+        "7c7e1a8b90802c775538dd189cc4cfaea1f31aefc6113e00547bc57d8ad6389e",
     "evolve/trace_velocity_eps0.01.csv":
-        "677d5bdccff12d0b3ca07b1a9f646d68a4f3484bcb333d85400b95f614e020a9",
+        "c6a461b44d1ac6bb29b535fbd2b5d925b845e955ec1b0c028f4a4e75f69c8e09",
 }
 
 

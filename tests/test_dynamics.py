@@ -378,14 +378,15 @@ def test_evolve_monitors_match_the_public_functions(spec, charged_profile):
 
 
 # E, C, d and sponge_flux after 2000 steps of the kicked q = 0.02 profile,
-# from the split step as it stood before the series kick (closed form
-# everywhere).  That form's (1 - exp(-i a tau))/(i a) loses about
-# 1e-16/|a tau| to cancellation, up to 1e-9 relative per kick in the
-# tail where phi is small; the 4e-18 of sponge flux is collected there,
-# so it is held to 1e-8.  With that g evaluated free of cancellation the
-# old step reproduces the current one to 1e-14 in all four.
-FROZEN_KICKED = {"E": 12.789313915396882, "C": -14.054228774928138,
-                 "d": 0.06394118851331686, "sponge_flux": 3.916663579828213e-18}
+# from the current split step.  The 4e-18 of sponge flux is collected in
+# the tail, where phi is small and the closed-form kick the values were
+# first frozen with lost up to 1e-9 relative per kick to cancellation, so
+# it is held to 1e-8.  Re-frozen, with the step unchanged, when the input
+# profile moved about 1e-7 to the fixed point of the coupled (u, phi)
+# Newton.
+FROZEN_KICKED = {"E": 12.78931536073016, "C": -14.054230588106462,
+                 "d": 0.0639412452603852,
+                 "sponge_flux": 3.9166629264661386e-18}
 
 
 def test_kicked_charged_profile_regression(spec, charged_profile):

@@ -42,10 +42,11 @@ NEUTRAL_E = 12.557830250863631
 NEUTRAL_C = -13.765581515764033
 NEUTRAL_LAMBDA = 0.9122629680760445
 
+# the coupled Newton's fixed point, at res1 5e-12 and res2 9e-13
 CHARGED_Q = 0.02
-CHARGED_U0 = 0.531052671183268
-CHARGED_E = 12.568208684395067
-CHARGED_LAMBDA = 0.9122364046167618
+CHARGED_U0 = 0.5310527050124083
+CHARGED_E = 12.568210101707354
+CHARGED_LAMBDA = 0.9122363950807411
 
 # descent minimizer of E/|C| + delta E^2 at delta = 2e-4, q = 1e-3
 FLOW_DELTA = 2e-4
@@ -193,7 +194,7 @@ def test_newton_certificate(spec, grid):
     opts = SolveOptions()
     phi = np.zeros(grid.n)
     u = shoot_u_given_phi(spec, 0.8, phi, 0.0, grid)
-    u_ref, gnorm = newton_polish(spec, 0.8, phi, 0.0, grid, u, opts)
+    u_ref, _, gnorm, _ = newton_polish(spec, 0.8, 0.0, grid, u, phi, opts)
     assert gnorm <= opts.newton_tol
     assert abs(u_ref[0] - u[0]) < 2e-5
 
@@ -230,10 +231,15 @@ def test_cold_solve_is_seed_independent(spec, grid, omega, q):
     # the coarse-grid seed and the fine-grid shoot polish to one profile
     phi = np.zeros(grid.n)
     fine = shoot_u_given_phi(spec, omega, phi, q, grid)
-    u, _ = newton_polish(spec, omega, phi, q, grid, fine, extra_step=True)
+    u, _, _, _ = newton_polish(spec, omega, q, grid, fine, phi)
     seeded = solve_profile(spec, omega, q, grid, init_u=u)
     cold = solve_profile(spec, omega, q, grid)
     assert np.max(np.abs(cold.state.u - seeded.state.u)) <= 1e-13
+    # so does a continuation step from the preceding omega of a sweep
+    # (largest gap 9.7e-13, at omega 0.5 and q 0.02)
+    prev = solve_profile(spec, omega - 0.05, q, grid)
+    warm = solve_profile(spec, omega, q, grid, init_u=prev.state.u)
+    assert np.max(np.abs(cold.state.u - warm.state.u)) <= 2e-12
 
 
 def _spy_march(monkeypatch):
@@ -270,18 +276,31 @@ def test_extra_step_at_the_roundoff_floor(spec, omega):
     grid = RadialGrid(20.0, 600)
     opts = SolveOptions()
     prof = solve_profile(spec, omega, 0.0, grid)
-    u, res = newton_polish(spec, omega, prof.phi, 0.0, grid, prof.state.u,
-                           opts, extra_step=True)
+    u, _, res, _ = newton_polish(spec, omega, 0.0, grid, prof.state.u,
+                                 prof.phi, opts)
     assert res < opts.newton_tol
     assert np.max(np.abs(u - prof.state.u)) < 1e-12
 
 
 def test_solve_counters(neutral_profile, charged_profile, flow_profile):
     assert 1 <= neutral_profile.newton_iters <= 4
-    assert neutral_profile.outer_sweeps == 0
-    assert charged_profile.outer_sweeps >= 1
+    assert 1 <= charged_profile.newton_iters <= 4
     assert flow_profile.newton_iters is None
-    assert flow_profile.outer_sweeps is None
+
+
+@pytest.mark.parametrize("spec, grid, q, omega", [
+    *[pytest.param(PotentialSpec("double_well"), RadialGrid(20.0, 600), q,
+                   omega, id=f"double_well-q{q}-omega{omega}")
+      for q in (0.1, 0.2) for omega in (0.7, 0.9)],
+    # a start with phi seeded by solve_phi_given_u stalls here
+    pytest.param(PotentialSpec("poly46", a=1.0, b=0.3), RadialGrid(40.0, 4000),
+                 0.01, 0.7, id="poly46-q0.01-omega0.7"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_coupled_newton_converges_cold_charged_solves(spec, grid, q, omega):
+    prof = solve_profile(spec, omega, q, grid)
+    assert prof.res1 <= 1e-9 and prof.res2 <= 1e-9
+    assert prof.newton_iters <= 8
 
 
 def test_profile_shape(neutral_profile):
@@ -412,6 +431,20 @@ def test_family_sweep_fails_short_descent(spec):
     assert value == 2e-4
     assert "descent stopped after 50 iterations" in reason
     assert "above flow_res_tol=5e-05" in reason
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_family_sweep_fails_descent_above_the_mass():
+    # this descent stalls near the vacuum (u0 about 0.01, res1 about 0.2)
+    # with a fitted omega of 1.012: no bound state, although J stalled
+    sw = family_sweep(PotentialSpec("poly46", a=1.0, b=0.3), 0.001,
+                      RadialGrid(20, 600), delta_list=[2e-4])
+    assert sw.profiles == [None]
+    assert len(sw.failures) == 1
+    value, reason = sw.failures[0]
+    assert value == 2e-4
+    assert reason.startswith("descent fitted omega=1.01")
+    assert reason.endswith(" outside (0, m=1)")
 
 
 def test_family_sweep_default(default_sweep):

@@ -14,7 +14,8 @@ over the pair (u, theta), whose stationary points satisfy the same
 equations with omega appearing as the constraint multiplier).  A cold
 direct solve shoots on a coarser grid; the Newton runs on the caller's
 grid one step past tolerance, so the profile forgets its start (the
-shooting seed or a warm start) to roundoff.
+shooting seed or a warm start) to roundoff.  family_sweep finishes a
+descent with that Newton at its fitted omega: every point meets tol.
 """
 
 import dataclasses
@@ -63,6 +64,9 @@ class SolveOptions:
 
 @dataclasses.dataclass
 class SolitonProfile:
+    """A stationary profile.  A descent point of family_sweep keeps delta,
+    fit_residual and flow_iters through its Newton finish; minimize_J
+    alone returns the unfinished descent state, with no newton_iters."""
     state: FieldState
     phi: np.ndarray
     omega: float
@@ -77,8 +81,7 @@ class SolitonProfile:
     delta: float | None = None   # set when produced by the descent route
     fit_residual: float | None = None
     flow_iters: int | None = None
-    flow_stalled: bool | None = None  # descent stopped on a stalled J
-    newton_iters: int | None = None   # direct route: coupled Newton steps
+    newton_iters: int | None = None   # coupled Newton steps
 
 
 def _screened_system(u, omega, q, grid):
@@ -127,9 +130,10 @@ def _residual(spec, omega, q, grid, u, phi):
     return F
 
 
-def shoot_u_given_phi(spec, omega, phi, q, grid):
-    """March the profile equation from r = 0, bisecting u(0) on the fan.
+def shoot_u_given_phi(spec, omega, grid):
+    """March -lap u + W'(u) = omega^2 u from r = 0, bisecting u(0) on the fan.
 
+    The potential is zero here: the shot only seeds the coupled Newton.
     Candidates that dip below zero have overshot; candidates that turn
     back upward while still positive have undershot.  Each pass refines
     the lowest undershoot-to-overshoot transition of the fan, keeping
@@ -146,14 +150,14 @@ def shoot_u_given_phi(spec, omega, phi, q, grid):
     passes = 0
     while passes < SCAN_PASSES:
         cand = np.linspace(lo, hi, SCAN_SIZE)
-        status = _march(spec, omega, q, phi, grid, cand)
+        status = _march(spec, omega, grid, cand)
         over = np.flatnonzero(status == 2)
         if over.size == 0:
             if not capped:
                 # At low omega the overshoot window is a sliver just below
                 # the largest zero of the radial force W'(s) - omega^2 s;
                 # cap the bracket there and rescan densely before giving up.
-                s_star = _largest_force_root(spec, omega - q * phi[0], lo, hi)
+                s_star = _largest_force_root(spec, omega, lo, hi)
                 if s_star is not None:
                     capped = True
                     hi = s_star * (1.0 - 1e-9)
@@ -175,8 +179,8 @@ def shoot_u_given_phi(spec, omega, phi, q, grid):
         lo, hi = float(cand[lo_i]), float(cand[first])
         passes += 1
     u0 = 0.5 * (lo + hi)
-    _, traj_u, traj_v = _march(spec, omega, q, phi, grid,
-                               np.array([u0]), record=True)
+    _, traj_u, traj_v = _march(spec, omega, grid, np.array([u0]),
+                               record=True)
     u = traj_u[:, 0]
     v = traj_v[:, 0]
     bad = (u <= 1e-12 * u0) | (v >= 0.0)
@@ -193,20 +197,19 @@ def shoot_u_given_phi(spec, omega, phi, q, grid):
     return out
 
 
-def _largest_force_root(spec, om_eff, lo, hi):
-    """Largest real root in (lo, hi] of W'(s)/s = om_eff^2, or None."""
+def _largest_force_root(spec, omega, lo, hi):
+    """Largest real root in (lo, hi] of W'(s)/s = omega^2, or None."""
     c = np.array(spec.coeffs, dtype=float)
-    c[0] -= om_eff ** 2
+    c[0] -= omega ** 2
     s = np.roots(c[::-1])
     s = s.real[(s.imag == 0.0) & (s.real > lo) & (s.real <= hi)]
     return float(s.max()) if s.size else None
 
 
-def _march(spec, omega, q, phi, grid, u0_vec, record=False):
+def _march(spec, omega, grid, u0_vec, record=False):
     """Classify a vector of u(0) candidates by one RK4 sweep of the grid."""
     r, dr, n = grid.r, grid.dr, grid.n
-    big = omega - q * phi
-    big_mid = 0.5 * (big[:-1] + big[1:])
+    om = omega ** 2
     u = np.array(u0_vec, dtype=float)
     v = np.zeros_like(u)
     status = np.zeros(u.shape, dtype=int)
@@ -216,14 +219,11 @@ def _march(spec, omega, q, phi, grid, u0_vec, record=False):
         traj_u[0] = u
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
-            o0 = big[i] ** 2
-            om = big_mid[i] ** 2
-            o1 = big[i + 1] ** 2
             rm = r[i] + 0.5 * dr
             if i == 0:
-                k1v = (spec.wp(u) - o0 * u) / 3.0
+                k1v = (spec.wp(u) - om * u) / 3.0
             else:
-                k1v = spec.wp(u) - o0 * u - 2.0 * v / r[i]
+                k1v = spec.wp(u) - om * u - 2.0 * v / r[i]
             k1u = v
             u2 = u + 0.5 * dr * k1u
             v2 = v + 0.5 * dr * k1v
@@ -233,7 +233,7 @@ def _march(spec, omega, q, phi, grid, u0_vec, record=False):
             k3v = spec.wp(u3) - om * u3 - 2.0 * v3 / rm
             u4 = u + dr * v3
             v4 = v + dr * k3v
-            k4v = spec.wp(u4) - o1 * u4 - 2.0 * v4 / r[i + 1]
+            k4v = spec.wp(u4) - om * u4 - 2.0 * v4 / r[i + 1]
             active = status == 0
             u = np.where(active, u + dr * (k1u + 2.0 * v2 + 2.0 * v3 + v4) / 6.0, u)
             v = np.where(active, v + dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0, v)
@@ -346,8 +346,8 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
         u = init_u
     else:
         coarse = RadialGrid(grid.r_max, max((grid.n - 1) // COARSEN + 1, 3))
-        u = np.interp(grid.r, coarse.r, shoot_u_given_phi(
-            spec, omega, np.zeros(coarse.n), q, coarse))
+        u = np.interp(grid.r, coarse.r,
+                      shoot_u_given_phi(spec, omega, coarse))
     steps = []
     u, phi, res1, res2 = newton_polish(spec, omega, q, grid, u,
                                        np.zeros(grid.n), opts, history=steps)
@@ -443,13 +443,13 @@ def minimize_J(spec, q, delta, init, opts=None):
     result is reported in the same orientation convention as the
     direct route (omega > 0, negative charge).
 
-    The penalty weight matters.  Beyond a potential-dependent ceiling
-    the functional has no nonvacuum minimizer: the descent then slides
-    toward the vacuum along the soliton family until the relative
-    J-decrease test stops it, and the returned state carries residuals
-    that reflect the drift.  Inspect res1 before trusting the profile;
-    flow_stalled tells a stalled J from a run cut off by flow_max_iter
-    or stopped on the residual target.
+    The descent stops once res1 is below flow_res_tol or J stalls at its
+    roundoff floor (where res1 may stay above it); running out of
+    flow_max_iter first raises ConvergenceError.  The state is returned
+    unfinished (family_sweep finishes it).  Beyond a potential-dependent
+    penalty ceiling the functional has no nonvacuum minimizer: the
+    descent slides toward the vacuum along the soliton family until J
+    stalls, and the returned residuals reflect the drift.
     """
     opts = opts or SolveOptions()
     if delta < 0:
@@ -486,7 +486,7 @@ def minimize_J(spec, q, delta, init, opts=None):
     floor = opts.charge_floor * charge
     step = 1.0
     iters = 0
-    stalled = False
+    stopped = False
     for iters in range(1, opts.flow_max_iter + 1):
         de_u, de_th, dc_u, dc_th = _flow_grads(spec, q, grid, u, theta, e_field)
         a = 1.0 / charge + 2.0 * delta * energy
@@ -519,16 +519,15 @@ def minimize_J(spec, q, delta, init, opts=None):
                     "no constrained minimum along this path")
             raise ConvergenceError(
                 "line search could not reduce J after 20 halvings")
-        drop = cost - cost_n
+        stalled = cost - cost_n < FLOW_TOL * (1.0 + abs(cost_n))
         u, theta, energy, charge, e_field, cost = un, thn, en, cn, fn, cost_n
         step = min(2.0 * t, 64.0)
-        if iters % 25 == 0 or drop < FLOW_TOL * (1.0 + abs(cost)):
+        if iters % 25 == 0 or stalled:
             omega_fit, phi_pos = _fit_omega(q, grid, u, theta, e_field)
             F = _residual(spec, omega_fit, q, grid, u, -phi_pos)
-            if np.sqrt(grid.w @ F[:, 0] ** 2) < opts.flow_res_tol:
-                break
-            if drop < FLOW_TOL * (1.0 + abs(cost)):
-                stalled = True
+            stopped = stalled or (np.sqrt(grid.w @ F[:, 0] ** 2)
+                                  < opts.flow_res_tol)
+            if stopped:
                 break
 
     omega_fit, phi_pos = _fit_omega(q, grid, u, theta, e_field)
@@ -539,9 +538,12 @@ def minimize_J(spec, q, delta, init, opts=None):
     phi = -phi_pos
     res1, res2 = np.sqrt(
         grid.w @ _residual(spec, omega_fit, q, grid, u, phi) ** 2)
+    if not stopped:
+        raise ConvergenceError(
+            f"descent stopped after {iters} iterations, res1={res1:.6g} "
+            f"res2={res2:.6g} above flow_res_tol={opts.flow_res_tol:g}")
     return _assemble(spec, omega_fit, q, grid, u, phi, res1, res2,
-                     delta=delta, fit_residual=fit_residual, flow_iters=iters,
-                     flow_stalled=stalled)
+                     delta=delta, fit_residual=fit_residual, flow_iters=iters)
 
 
 def _fit_omega(q, grid, u, theta, e_field):
@@ -571,10 +573,9 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
 
     Each point warm-starts from its predecessor and falls back to a
     fresh solve, so a sweep of one point is a cold solve.  A descent
-    point that stopped with res1 or res2 above flow_res_tol fails unless
-    J stalled (then J sits at its roundoff floor, which further descent
-    does not lower); one whose fitted omega is outside (0, m) fails as
-    no bound state.  Failures are recorded per point, not raised.
+    point whose fitted omega is outside (0, m) fails as no bound state;
+    otherwise solve_profile finishes it at that omega from its u.  Every
+    point meets tol or fails; failures are recorded per point, not raised.
     """
     opts = opts or SolveOptions()
     if omega_list is not None and delta_list is not None:
@@ -599,17 +600,16 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
                     prof = solve_profile(spec, val, q, grid, opts)
             else:
                 seed = prev if prev is not None else descent_seed(spec, q, grid)
-                prof = minimize_J(spec, q, val, seed, opts=opts)
-                if (not prof.flow_stalled
-                        and max(prof.res1, prof.res2) > opts.flow_res_tol):
+                flow = minimize_J(spec, q, val, seed, opts=opts)
+                if not 0.0 < flow.omega < spec.m:
                     raise ConvergenceError(
-                        f"descent stopped after {prof.flow_iters} iterations, "
-                        f"res1={prof.res1:.6g} res2={prof.res2:.6g} above "
-                        f"flow_res_tol={opts.flow_res_tol:g}")
-                if not 0.0 < prof.omega < spec.m:
-                    raise ConvergenceError(
-                        f"descent fitted omega={prof.omega:.6g} outside "
+                        f"descent fitted omega={flow.omega:.6g} outside "
                         f"(0, m={spec.m:g})")
+                prof = dataclasses.replace(
+                    solve_profile(spec, flow.omega, q, grid, opts,
+                                  init_u=flow.state.u),
+                    delta=flow.delta, fit_residual=flow.fit_residual,
+                    flow_iters=flow.flow_iters)
         except (ValueError, ConvergenceError, ChargeCollapseError) as exc:
             profiles.append(None)
             failures.append((val, str(exc)))

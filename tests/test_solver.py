@@ -131,7 +131,7 @@ def test_screened_potential_bounds(charged_profile):
 
 
 def test_shoot_separatrix_value(spec, grid):
-    u = shoot_u_given_phi(spec, 0.8, np.zeros(grid.n), 0.0, grid)
+    u = shoot_u_given_phi(spec, 0.8, grid)
     assert abs(u[0] - CONTINUUM_U0) < 1e-8
     assert np.all(np.diff(u) <= 1e-14)
     assert u[-1] == 0.0
@@ -180,7 +180,7 @@ def test_shoot_matches_independent_integrator(spec, grid):
         else:
             lo = mid
     oracle = 0.5 * (lo + hi)
-    u = shoot_u_given_phi(spec, 0.8, np.zeros(grid.n), 0.0, grid)
+    u = shoot_u_given_phi(spec, 0.8, grid)
     assert abs(u[0] - oracle) < 1e-8
 
 
@@ -193,7 +193,7 @@ def test_omega_domain_errors(spec, grid):
 def test_newton_certificate(spec, grid):
     opts = SolveOptions()
     phi = np.zeros(grid.n)
-    u = shoot_u_given_phi(spec, 0.8, phi, 0.0, grid)
+    u = shoot_u_given_phi(spec, 0.8, grid)
     u_ref, _, gnorm, _ = newton_polish(spec, 0.8, 0.0, grid, u, phi, opts)
     assert gnorm <= opts.newton_tol
     assert abs(u_ref[0] - u[0]) < 2e-5
@@ -230,7 +230,7 @@ def test_charged_profile_reference(charged_profile, neutral_profile):
 def test_cold_solve_is_seed_independent(spec, grid, omega, q):
     # the coarse-grid seed and the fine-grid shoot polish to one profile
     phi = np.zeros(grid.n)
-    fine = shoot_u_given_phi(spec, omega, phi, q, grid)
+    fine = shoot_u_given_phi(spec, omega, grid)
     u, _, _, _ = newton_polish(spec, omega, q, grid, fine, phi)
     seeded = solve_profile(spec, omega, q, grid, init_u=u)
     cold = solve_profile(spec, omega, q, grid)
@@ -248,7 +248,7 @@ def _spy_march(monkeypatch):
     march = solver._march
 
     def spy(*args, **kwargs):
-        sizes.append(args[4].n)
+        sizes.append(args[2].n)
         return march(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_march", spy)
@@ -280,6 +280,16 @@ def test_extra_step_at_the_roundoff_floor(spec, omega):
                                  prof.phi, opts)
     assert res < opts.newton_tol
     assert np.max(np.abs(u - prof.state.u)) < 1e-12
+
+
+def test_line_search_floor_keeps_the_iterate(spec, grid, neutral_profile):
+    # from the omega = 0.85 profile, the step taken past newton_tol finds
+    # no merit decrease at the roundoff floor; the polish keeps the
+    # iterate there instead of failing the solve
+    start = solve_profile(spec, 0.85, 0.0, grid)
+    warm = solve_profile(spec, 0.8, 0.0, grid, init_u=start.state.u)
+    assert warm.res1 < SolveOptions().newton_tol
+    assert np.max(np.abs(warm.state.u - neutral_profile.state.u)) <= 1e-12
 
 
 def test_solve_counters(neutral_profile, charged_profile, flow_profile):
@@ -445,6 +455,29 @@ def test_family_sweep_fails_descent_above_the_mass():
     assert value == 2e-4
     assert reason.startswith("descent fitted omega=1.01")
     assert reason.endswith(" outside (0, m=1)")
+
+
+@pytest.mark.parametrize("n", [600, 1200, 2400])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_descent_points_end_in_the_coupled_newton(spec, n):
+    # the descent stalls at J's roundoff floor, res1 1.5e-4 to 3.0e-4
+    # growing with n; the Newton finish brings every point below tol
+    tol = SolveOptions().tol
+    sw = family_sweep(spec, FLOW_Q, RadialGrid(20.0, n), delta_list=[2e-4])
+    assert not sw.failures
+    (p,) = sw.profiles
+    assert p.res1 < tol and p.res2 < tol
+    assert p.newton_iters >= 1
+    assert p.delta == 2e-4
+    assert p.flow_iters >= 1 and p.fit_residual < 1e-3
+
+
+def test_descent_out_of_iterations_raises(spec):
+    grid = RadialGrid(20.0, 600)
+    with pytest.raises(ConvergenceError,
+                       match="descent stopped after 50 iterations"):
+        minimize_J(spec, FLOW_Q, 2e-4, descent_seed(spec, FLOW_Q, grid),
+                   SolveOptions(flow_max_iter=50))
 
 
 def test_family_sweep_default(default_sweep):

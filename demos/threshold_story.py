@@ -14,12 +14,12 @@ from qball.potential import default_potential, hylomorphy_constants
 
 spec = default_potential()
 grid = RadialGrid(40.0, 4000)
-alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+alpha, s_bar = hylomorphy_constants(spec)
 
 print(f"trial states: plateau s_bar = {s_bar:g} up to radius R, "
       f"rotation rate alpha = {alpha:g}\n")
 for q in (0.0, 0.05, 0.2):
-    rows = ratio_sweep(spec, q, grid, alpha=alpha, s_bar=s_bar)
+    rows = ratio_sweep(spec, q, grid)
     line = "  ".join(f"R={R:<4g} {ratio:6.3f}" for R, ratio in rows)
     best = min(r for _, r in rows)
     tag = "bound" if best < spec.m else "unbound"

@@ -157,7 +157,11 @@ def _read_pairs(path):
 
 def parse_config(path):
     """Parse and validate a run configuration; defaults fill missing keys."""
-    pairs, lines = _read_pairs(path)
+    return _validate(*_read_pairs(path))
+
+
+def _validate(pairs, lines):
+    """RunConfig from {(section, key): raw text} and the keys' line numbers."""
     values = {}
     for sk, raw in pairs.items():
         conv = _SCHEMA[sk]
@@ -166,7 +170,7 @@ def parse_config(path):
         except ValueError:
             raise ConfigError(
                 f"{sk[1]}: cannot parse {raw!r} as {conv.__name__}",
-                lines[sk]) from None
+                lines.get(sk)) from None
 
     def get(section, key, default):
         return values.get((section, key), default)
@@ -202,7 +206,11 @@ def parse_config(path):
             raise ConfigError("q_range: expected 'lo, hi' or 'lo, hi, count'",
                               lines[("charge", "q_range")])
         lo, hi = rng[0], rng[1]
-        count = int(rng[2]) if len(rng) == 3 else 5
+        count = rng[2] if len(rng) == 3 else 5
+        if not float(count).is_integer():
+            raise ConfigError("q_range: count must be a whole number",
+                              lines[("charge", "q_range")])
+        count = int(count)
         if lo > hi:
             raise ConfigError("q_range: lower bound exceeds upper bound",
                               lines[("charge", "q_range")])
@@ -334,13 +342,13 @@ def _run_check_potential(cfg, stage):
 
 def _run_hylomorphy(cfg, stage):
     grid = cfg.grid()
-    alpha, s_bar = hylomorphy_constants(cfg.spec, "max_threshold")
-    c1, c6 = calibrate_constants(cfg.spec, grid, alpha=alpha, s_bar=s_bar)
+    alpha, s_bar = hylomorphy_constants(cfg.spec)
+    c1, c6 = calibrate_constants(cfg.spec, grid)
     rows = []
     report = [("m", cfg.spec.m), ("alpha", alpha), ("s_bar", s_bar),
               ("c1", c1), ("c6", c6)]
     for i, q in enumerate(cfg.q_values):
-        sweep = ratio_sweep(cfg.spec, q, grid, alpha=alpha, s_bar=s_bar)
+        sweep = ratio_sweep(cfg.spec, q, grid)
         best_R, best = min(sweep, key=lambda t: t[1])
         for R, ratio in sweep:
             bound = ratio_bound(alpha, s_bar, q, R, c1, c6)
@@ -502,14 +510,19 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True,
                        help="path to a key=value run configuration")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--workers", type=int,
-                       help="worker processes (overrides config)")
-        p.add_argument("--seed", type=int,
-                       help="noise seed (overrides config)")
+        p.add_argument("--out", dest="out_dir",
+                       help="output directory (overrides config)")
+        p.add_argument("--workers", help="worker processes (overrides config)")
+        p.add_argument("--seed", help="noise seed (overrides config)")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config)
+        pairs, lines = _read_pairs(args.config)
+        # an override is checked like the [output] key it replaces
+        for key in ("out_dir", "workers", "seed"):
+            if getattr(args, key) is not None:
+                pairs[("output", key)] = getattr(args, key)
+                lines.pop(("output", key), None)
+        config = _validate(pairs, lines)
     except FileNotFoundError:
         print(f"error: config file {args.config!r} not found",
               file=sys.stderr)
@@ -517,21 +530,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    replacements = {}
-    if args.out is not None:
-        replacements["out_dir"] = args.out
-    if args.workers is not None:
-        if args.workers < 1:
-            print("error: --workers must be at least 1", file=sys.stderr)
-            return 2
-        replacements["workers"] = args.workers
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be nonnegative", file=sys.stderr)
-            return 2
-        replacements["seed"] = args.seed
-    if replacements:
-        config = dataclasses.replace(config, **replacements)
     return run(args.subcommand, config)
 
 

@@ -108,7 +108,7 @@ def theta_field(state):
     return theta, mask
 
 
-def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard=1,
+def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard,
                    solve=gauss_potential):
     """Solve the Gauss constraint, feeding the previous phi into rho.
 
@@ -122,17 +122,17 @@ def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard=1,
     mod2 = mod * mod
     q2 = q * q
     phi = phi_prev
-    for _ in range(max(1, picard)):
+    for _ in range(picard):
         phi, dphi = solve(src - q2 * phi * mod2, grid)
     return phi, -dphi
 
 
-def constrain(state, picard=2):
+def constrain(state):
     """Return a copy whose phi is the constraint image of its own fields."""
     out = state.clone()
     out.phi, out.e_r = _constrain_phi(state.grid, state.q, state.psi,
                                       np.abs(state.psi), state.pi, state.phi,
-                                      picard, solve=solve_poisson)
+                                      2, solve=solve_poisson)
     return out
 
 

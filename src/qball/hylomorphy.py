@@ -1,7 +1,10 @@
 """Explicit trial states, Coulomb estimates, and the coupling threshold.
 
 The trial profile is a plateau of height s_bar out to radius R with a
-linear ramp to zero on [R, R+1], carrying theta = alpha u.  Its
+linear ramp to zero on [R, R+1], carrying theta = alpha u.  The
+witnesses (alpha, s_bar) are fixed per potential by
+potential.hylomorphy_constants, and the radii R by DEFAULT_R_LIST capped
+at r_max - 1, so every sweep here takes only (spec, q, grid).  The
 energy-to-charge ratio obeys the closed-form estimate
 
     E/|C| <= alpha + c1/(alpha R) + c6 q^2 alpha s_bar^2 R^2,
@@ -152,13 +155,6 @@ def ratio_bound(alpha, s_bar, q, R, c1, c6):
     return alpha + c1 / (alpha * R) + c6 * q * q * alpha * s_bar ** 2 * R * R
 
 
-def _capped_r_list(grid, r_list):
-    out = sorted({min(float(R), grid.r_max - 1.0) for R in r_list})
-    if out[0] <= 1.0:
-        raise ValueError("R sweep leaves no admissible radius")
-    return out
-
-
 def coulomb_tail(state):
     """Closed-form exterior Coulomb energy (1/2) int_{r_max}^inf E^2 4 pi r^2 dr.
 
@@ -170,50 +166,52 @@ def coulomb_tail(state):
     return 0.5 * FOUR_PI * state.grid.r_max ** 3 * state.E_r[-1] ** 2
 
 
-def ratio_sweep(spec, q, grid, r_list=None, alpha=None, s_bar=None):
-    """Energy-to-charge ratio of the trial state across an R sweep.
+def ratio_sweep(spec, q, grid):
+    """Energy-to-charge ratio of the trial state across the R sweep.
 
-    The energy is the grid functional plus the exterior Coulomb tail.
+    The witnesses come from hylomorphy_constants(spec) and the radii
+    from DEFAULT_R_LIST capped at r_max - 1.  The energy is the grid
+    functional plus the exterior Coulomb tail.
     """
-    if alpha is None or s_bar is None:
-        alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+    alpha, s_bar = hylomorphy_constants(spec)
+    radii = sorted({min(R, grid.r_max - 1.0) for R in DEFAULT_R_LIST})
+    if radii[0] <= 1.0:
+        raise ValueError("R sweep leaves no admissible radius")
     rows = []
-    for R in _capped_r_list(grid, r_list or DEFAULT_R_LIST):
+    for R in radii:
         state = build_test_state(TestStateParams(s_bar, alpha, R, q), grid)
         f = functionals(state, spec)
         rows.append((R, (f.energy + coulomb_tail(state)) / abs(f.charge)))
     return rows
 
 
-def estimate_lambda_star(spec, q, grid, r_list=None, alpha=None, s_bar=None):
+def estimate_lambda_star(spec, q, grid):
     """Best (smallest) trial ratio over the R sweep: an upper bound on Lambda*."""
-    rows = ratio_sweep(spec, q, grid, r_list, alpha, s_bar)
-    best_R, best = min(rows, key=lambda t: t[1])
+    best_R, best = min(ratio_sweep(spec, q, grid), key=lambda t: t[1])
     return best, best_R
 
 
-def calibrate_constants(spec, grid, r_list=None, alpha=None, s_bar=None):
+def calibrate_constants(spec, grid):
     """Fit (c1, c6) as the maxima that make the ratio bound tight on the sweep.
 
     c1 bounds the q-independent excess alpha R (ratio - alpha) at q = 0;
     c6 then bounds the remaining Coulomb excess per q^2 alpha s_bar^2 R^2.
     By construction every sweep point satisfies ratio <= bound.
     """
-    if alpha is None or s_bar is None:
-        alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
-    base = dict(ratio_sweep(spec, 0.0, grid, r_list, alpha, s_bar))
+    alpha, s_bar = hylomorphy_constants(spec)
+    base = dict(ratio_sweep(spec, 0.0, grid))
     c1 = max(alpha * R * (ratio - alpha) for R, ratio in base.items())
     c6 = 0.0
     for q in CALIBRATION_Q:
         if q == 0.0:
             continue
-        for R, ratio in ratio_sweep(spec, q, grid, r_list, alpha, s_bar):
+        for R, ratio in ratio_sweep(spec, q, grid):
             excess = ratio - alpha - c1 / (alpha * R)
             c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))
     return c1, c6
 
 
-def q_threshold(spec, grid, r_list=None):
+def q_threshold(spec, grid):
     """Closed-form coupling threshold for the verdict min_R E/|C| < m.
 
     The Coulomb field of a trial state is linear in q, so its ratio is
@@ -224,10 +222,10 @@ def q_threshold(spec, grid, r_list=None):
     (c1, c6) and the analytic threshold scale (c/s_bar)
     sqrt((m-alpha)^3 alpha) with c = 1/(c1 sqrt(8 c6)).
     """
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
-    c1, c6 = calibrate_constants(spec, grid, r_list, alpha=alpha, s_bar=s_bar)
-    a = np.array(ratio_sweep(spec, 0.0, grid, r_list, alpha, s_bar))[:, 1]
-    b = np.array(ratio_sweep(spec, 1.0, grid, r_list, alpha, s_bar))[:, 1] - a
+    alpha, s_bar = hylomorphy_constants(spec)
+    c1, c6 = calibrate_constants(spec, grid)
+    a = np.array(ratio_sweep(spec, 0.0, grid))[:, 1]
+    b = np.array(ratio_sweep(spec, 1.0, grid))[:, 1] - a
     if not a.min() < spec.m:
         raise InconsistentSetupError(
             f"trial ratio {a.min():.6g} is not below m even at q = 0")
@@ -238,8 +236,8 @@ def q_threshold(spec, grid, r_list=None):
     # above the roundoff of the sweep (its slope in q_bar is 2 (m - A_R))
     eps = THRESHOLD_MARGIN * spec.m / (2.0 * (spec.m - a[k]))
     q_lo, q_hi = q_bar * (1.0 - eps), q_bar * (1.0 + eps)
-    ratio, best_R = estimate_lambda_star(spec, q_lo, grid, r_list, alpha, s_bar)
-    ceiling, _ = estimate_lambda_star(spec, q_hi, grid, r_list, alpha, s_bar)
+    ratio, best_R = estimate_lambda_star(spec, q_lo, grid)
+    ceiling, _ = estimate_lambda_star(spec, q_hi, grid)
     if not ratio < spec.m <= ceiling:
         raise InconsistentSetupError(
             f"closed-form threshold {q_bar:.17g} is not confirmed by the "
@@ -255,16 +253,3 @@ def q_threshold(spec, grid, r_list=None):
         q_bar_est=q_lo, analytic_scale=analytic, scale_c=scale_c,
         alpha=alpha, s_bar=s_bar, q=q_lo, q_ceiling=q_hi,
         bisect_iters=0, bisect_rel_width=(q_hi - q_lo) / q_hi)
-
-
-def hylomorphy_report(spec, q, grid, r_list=None):
-    """Single-coupling report: sweep verdict plus calibrated bound values."""
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
-    c1, c6 = calibrate_constants(spec, grid, r_list, alpha=alpha, s_bar=s_bar)
-    ratio, best_R = estimate_lambda_star(spec, q, grid, r_list, alpha, s_bar)
-    return HylomorphyReport(
-        lambda0_bound=spec.m, best_ratio=ratio, best_R=best_R,
-        bound_at_best=ratio_bound(alpha, s_bar, q, best_R, c1, c6),
-        c1=c1, c6=c6, hylomorphic=ratio < spec.m,
-        q_bar_est=None, analytic_scale=None, scale_c=None,
-        alpha=alpha, s_bar=s_bar, q=q)

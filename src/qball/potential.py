@@ -125,8 +125,8 @@ class PotentialSpec:
                                functools.partial(_horner, _poly(k, c)))
 
 
-def default_potential(m=1.0, s_bar=1.0):
-    return PotentialSpec("double_well", m=m, s_bar=s_bar)
+def default_potential():
+    return PotentialSpec("double_well")
 
 
 def evaluate(spec, s):
@@ -167,19 +167,16 @@ def _alpha_curve(spec, s):
     return np.sqrt(2.0 * w) / s
 
 
-def check_admissibility(spec, s_max=None):
+def check_admissibility(spec):
     """Sample-based certification of the four structural conditions on W.
 
     Returns an AdmissibilityReport; never raises for a merely inadmissible
     potential (flags carry the verdicts).  W is sampled at 2001 points of
-    [0, s_max].  The hylomorphy witnesses are the grid argmin of alpha(s),
-    with alpha clipped from below at DEFAULT_ALPHA_MIN.
+    [0, s_max] with s_max = 10 s_scale.  The hylomorphy witnesses are the
+    grid argmin of alpha(s), with alpha clipped from below at
+    DEFAULT_ALPHA_MIN.
     """
-    if s_max is None:
-        s_max = 10.0 * spec.s_scale
-    if s_max <= 0:
-        raise ValueError("s_max must be positive")
-
+    s_max = 10.0 * spec.s_scale
     s = np.linspace(0.0, s_max, 2001)
     w = spec.w(s)
     positivity = bool(np.all(w >= -1e-12))
@@ -226,17 +223,15 @@ def _fit_growth(spec, s):
     return verdict, float(res.x[0]), float(res.x[1])
 
 
-def hylomorphy_constants(spec, alpha_policy="max_threshold",
-                         alpha_min=DEFAULT_ALPHA_MIN):
-    """Pick binding witnesses (alpha, s_bar) with W(s_bar) <= alpha^2 s_bar^2 / 2.
+@functools.cache
+def hylomorphy_constants(spec):
+    """The binding witnesses (alpha, s_bar), W(s_bar) <= alpha^2 s_bar^2 / 2.
 
-    The alpha curve is sampled at 4000 points of (0, 10 s_scale].
-
-    min_ratio:     s_bar minimizes alpha(s); alpha is that minimum, floored
-                   at alpha_min.
-    max_threshold: alpha maximizes (m - alpha)^3 alpha over the feasible
-                   alphas (those above the curve minimum), which is m/4
-                   whenever m/4 is feasible; s_bar is the curve argmin.
+    One rule: s_bar is the argmin of the alpha curve, sampled at 4000
+    points of (0, 10 s_scale], and alpha maximizes (m - alpha)^3 alpha
+    over the feasible alphas (those above the curve minimum and
+    DEFAULT_ALPHA_MIN), which is m/4 whenever m/4 is feasible.  The pair
+    is a property of the potential, so it is computed once per spec.
 
     Raises AdmissibilityError("hylomorphy") when no alpha < m exists.
     """
@@ -244,18 +239,12 @@ def hylomorphy_constants(spec, alpha_policy="max_threshold",
     alpha = _alpha_curve(spec, s)
     k = int(np.argmin(alpha))
     alpha_floor_of_curve = float(alpha[k])
-    s_bar = float(s[k])
     if not alpha_floor_of_curve < spec.m:
         raise AdmissibilityError(
             "hylomorphy", "no alpha in (0, m) with W(s) <= alpha^2 s^2 / 2")
-
-    if alpha_policy == "min_ratio":
-        return max(alpha_floor_of_curve, alpha_min), s_bar
-    if alpha_policy == "max_threshold":
-        # (m - alpha)^3 alpha peaks at alpha = m/4 and decreases beyond,
-        # so the best feasible alpha is m/4 or the curve minimum above it.
-        best = max(spec.m / 4.0, alpha_floor_of_curve, alpha_min)
-        if not best < spec.m:
-            raise AdmissibilityError("hylomorphy", "feasible alpha window is empty")
-        return best, s_bar
-    raise ValueError(f"unknown alpha_policy {alpha_policy!r}")
+    # (m - alpha)^3 alpha peaks at alpha = m/4 and decreases beyond,
+    # so the best feasible alpha is m/4 or the curve minimum above it.
+    best = max(spec.m / 4.0, alpha_floor_of_curve, DEFAULT_ALPHA_MIN)
+    if not best < spec.m:
+        raise AdmissibilityError("hylomorphy", "feasible alpha window is empty")
+    return best, float(s[k])

@@ -319,10 +319,6 @@ def _assemble(spec, omega, q, grid, u, phi, res1, res2, **record):
     f = functionals(state, spec)
     u0 = float(u[0])
     tail_ratio = float(abs(u[-2]) / max(abs(u0), 1e-300))
-    if tail_ratio > TAIL_WARN:
-        warnings.warn(
-            f"profile tail {tail_ratio:.2e} of u(0) still visible at r_max; "
-            "enlarge the grid or lower omega", RuntimeWarning)
     return SolitonProfile(
         state=state, phi=np.array(phi, dtype=float), omega=float(omega),
         q=float(q), E=f.energy, C=f.charge,
@@ -354,14 +350,19 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
     if max(res1, res2) >= opts.tol:
         raise ConvergenceError(f"residuals res1={res1:.6g} res2={res2:.6g} "
                                f"not below tol={opts.tol:g}")
-    return _assemble(spec, omega, q, grid, u, phi, res1, res2,
+    prof = _assemble(spec, omega, q, grid, u, phi, res1, res2,
                      newton_iters=len(steps))
+    if prof.tail_ratio > TAIL_WARN:
+        warnings.warn(
+            f"profile tail {prof.tail_ratio:.2e} of u(0) still visible at "
+            "r_max; enlarge the grid or lower omega", RuntimeWarning)
+    return prof
 
 
 def _flow_energy(spec, q, grid, u, theta):
     """Energy, charge, and the Gauss-law field E_r used by the descent.
 
-    Returns (E, C, e_field); _flow_grads needs e_field for the exact adjoint.
+    Returns (E, C, e_field); _j_grad needs e_field for the exact adjoint.
     """
     w = grid.w
     e_field = np.zeros(grid.n)
@@ -375,8 +376,13 @@ def _flow_energy(spec, q, grid, u, theta):
     return energy, charge, e_field
 
 
-def _flow_grads(spec, q, grid, u, theta, e_field):
-    """Euclidean partials of the flow energy and charge in (u, theta)."""
+def _j_grad(spec, q, grid, delta, u, theta, energy, charge, e_field):
+    """Euclidean gradient (g_u, g_theta) of J = E/|C| + delta E^2.
+
+    energy, charge and e_field are _flow_energy at (u, theta).  The
+    partials of E carry the exact adjoint of the Gauss-law field; those
+    of C are w theta and w u.
+    """
     w = grid.w
     de_u = 0.5 * grid.dirichlet_grad(u) + w * spec.wp(u)
     de_th = w * theta
@@ -386,9 +392,9 @@ def _flow_grads(spec, q, grid, u, theta, e_field):
         ds = cumulative_charge_adjoint(g_q, grid)
         de_th += -q * u * ds
         de_u += -q * theta * ds
-    dc_u = w * theta
-    dc_th = w * u
-    return de_u, de_th, dc_u, dc_th
+    a = 1.0 / abs(charge) + 2.0 * delta * energy
+    b = energy * np.sign(charge) / charge ** 2
+    return a * de_u - b * (w * theta), a * de_th - b * (w * u)
 
 
 def j_functional(spec, q, grid, delta, u, theta):
@@ -398,11 +404,9 @@ def j_functional(spec, q, grid, delta, u, theta):
     difference of the value along any direction should reproduce it.
     """
     energy, charge, e_field = _flow_energy(spec, q, grid, u, theta)
-    de_u, de_th, dc_u, dc_th = _flow_grads(spec, q, grid, u, theta, e_field)
-    a = 1.0 / abs(charge) + 2.0 * delta * energy
-    b = energy * np.sign(charge) / charge ** 2
     cost = energy / abs(charge) + delta * energy * energy
-    return cost, a * de_u - b * dc_u, a * de_th - b * dc_th
+    return (cost, *_j_grad(spec, q, grid, delta, u, theta,
+                           energy, charge, e_field))
 
 
 def flow_state(spec, q, grid, u, theta):
@@ -488,11 +492,9 @@ def minimize_J(spec, q, delta, init, opts=None):
     iters = 0
     stopped = False
     for iters in range(1, opts.flow_max_iter + 1):
-        de_u, de_th, dc_u, dc_th = _flow_grads(spec, q, grid, u, theta, e_field)
-        a = 1.0 / charge + 2.0 * delta * energy
-        b = energy / charge ** 2
-        g_u = a * de_u - b * dc_u
-        g_th = a * de_th - b * dc_th
+        # the charge stays positive here, so this is J's gradient as is
+        g_u, g_th = _j_grad(spec, q, grid, delta, u, theta,
+                            energy, charge, e_field)
         dir_u = -_banded_solve(m_low, m_diag, m_up, g_u)
         dir_u[-1] = 0.0
         dir_th = -g_th / wt

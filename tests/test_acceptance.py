@@ -115,12 +115,11 @@ def test_criterion_01_pointwise_ratio_bound(spec):
 
 def test_criterion_02_trial_ratio_below_mass(spec, grid):
     t0 = time.monotonic()
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
-    c1, c6 = calibrate_constants(spec, grid, alpha=alpha, s_bar=s_bar)
+    alpha, s_bar = hylomorphy_constants(spec)
+    c1, c6 = calibrate_constants(spec, grid)
     results = []
     for q in (0.0, 1e-3, 1e-2):
-        ratio, best_R = estimate_lambda_star(spec, q, grid,
-                                             alpha=alpha, s_bar=s_bar)
+        ratio, best_R = estimate_lambda_star(spec, q, grid)
         bound = ratio_bound(alpha, s_bar, q, best_R, c1, c6)
         results.append((q, ratio, bound))
     elapsed = time.monotonic() - t0
@@ -135,7 +134,7 @@ def test_criterion_02_trial_ratio_below_mass(spec, grid):
 
 def test_criterion_03_coulomb_scaling(spec):
     g = RadialGrid(50.0, 5000)
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+    alpha, s_bar = hylomorphy_constants(spec)
     radii = (5.0, 10.0, 20.0, 40.0)
     vals = [coulomb_energy(TestStateParams(s_bar, alpha, R, 0.01), g)
             for R in radii]
@@ -173,7 +172,7 @@ def test_criterion_05_stationary_residuals(spec, grid, threshold_run,
     t0 = time.monotonic()
     neutral = solve_profile(spec, 0.8, 0.0, grid)
 
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+    alpha, s_bar = hylomorphy_constants(spec)
     trial = build_test_state(TestStateParams(s_bar, alpha, 10.0, q5), grid)
     flow = minimize_J(spec, q5, 2e-4, trial)
 

@@ -48,7 +48,8 @@ def _small(tmp_path, out_name, extra="", eps_list="0.01", omega_list="0.8"):
         """)
 
 
-# sha256 of every check-potential, hylomorphy, solve and evolve artifact of
+# sha256 of every check-potential, hylomorphy, threshold, solve and evolve
+# artifact of
 # the _tiny config, taken with numpy 2.4.6 and scipy 1.17.1 on x86-64 (the
 # versions the CI workflow pins).  Results are byte-identical for a given
 # config, seed and build, so a changed digest is a changed result and must
@@ -60,6 +61,8 @@ TINY_DIGESTS = {
         "a385fbf85450aafff7adcc7c85770d5af48deccd3532b2c8650411b9bb8d60de",
     "hylomorphy/hylomorphy.txt":
         "1a41d66df31e59bc93f10bb30553c8b3760b6e35d6aa81c7ebc9a202405d5032",
+    "threshold/threshold.txt":
+        "0f3c91a9dcfd4d5a4a0e1a4d0db4bb1a2a22ee8e7521714a4c9e6681f9c294e8",
     "solve/profile_omega0.7_q0.01.txt":
         "5eb502dab7fd0de0c42c30ce34a6395bdf6eb7cd26fa7a1c9d2b12678e483a84",
     "solve/profile_omega0.8_q0.01.txt":
@@ -162,6 +165,15 @@ def test_parse_q_range_expansion(tmp_path):
     assert np.allclose(cfg.q_values, (0.0, 0.01, 0.02))
 
 
+def test_parse_q_range_count_is_whole(tmp_path):
+    path = _cfg(tmp_path, """
+        [charge]
+        q_range = 0.0, 0.02, 2.5
+        """)
+    with pytest.raises(ConfigError, match="q_range: count must be a whole"):
+        parse_config(path)
+
+
 def test_parse_q_and_range_conflict(tmp_path):
     path = _cfg(tmp_path, """
         [charge]
@@ -221,6 +233,24 @@ def test_parse_missing_out_parent(tmp_path):
         """)
     with pytest.raises(ConfigError, match="out_dir"):
         parse_config(path)
+
+
+def test_out_override_is_checked_like_out_dir(tmp_path):
+    path = _small(tmp_path, "out")
+    missing = tmp_path / "no" / "such" / "parent" / "run"
+    assert main(["check-potential", "--config", path,
+                 "--out", str(missing)]) == 2
+    assert not missing.parent.exists()
+
+
+def test_out_override_replaces_a_bad_out_dir(tmp_path):
+    path = _cfg(tmp_path, f"""
+        [output]
+        out_dir = {tmp_path}/no/such/parent/run
+        """)
+    out = tmp_path / "out"
+    assert main(["check-potential", "--config", path, "--out", str(out)]) == 0
+    assert (out / "admissibility.txt").exists()
 
 
 def test_check_potential_artifacts(tmp_path):
@@ -414,7 +444,8 @@ def test_determinism_across_worker_counts(tmp_path):
 def test_artifact_digests_frozen(tmp_path):
     base = _tiny(tmp_path)
     got = {}
-    for sub in ("check-potential", "hylomorphy", "solve", "evolve"):
+    for sub in ("check-potential", "hylomorphy", "threshold", "solve",
+                "evolve"):
         out = tmp_path / sub
         assert main([sub, "--config", base, "--out", str(out)]) == 0
         for name in sorted(os.listdir(out)):

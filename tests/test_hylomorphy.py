@@ -6,7 +6,6 @@ import pytest
 from qball.fields import FOUR_PI, RadialGrid, functionals, gauss_residual
 from qball.hylomorphy import (
     GridTooSmallError,
-    HylomorphyReport,
     InconsistentSetupError,
     TestStateParams,
     build_test_state,
@@ -15,7 +14,6 @@ from qball.hylomorphy import (
     coulomb_tail,
     estimate_lambda_star,
     exact_coulomb_field,
-    hylomorphy_report,
     q_threshold,
     ratio_bound,
     ratio_sweep,
@@ -216,11 +214,12 @@ def test_ratio_coulomb_increment(grid, spec):
         assert base[R] <= mid[R] <= bumped[R]
 
 
-def test_r_list_capping(grid, spec):
-    rows = ratio_sweep(spec, 0.0, grid, r_list=(2.0, 40.0, 39.0))
-    assert [R for R, _ in rows] == [2.0, 39.0]
+def test_r_list_capping(spec):
+    # DEFAULT_R_LIST capped at r_max - 1
+    rows = ratio_sweep(spec, 0.0, RadialGrid(30.0, 3000))
+    assert [R for R, _ in rows] == [2.0, 5.0, 10.0, 20.0, 29.0]
     with pytest.raises(ValueError):
-        ratio_sweep(spec, 0.0, grid, r_list=(0.5,))
+        ratio_sweep(spec, 0.0, RadialGrid(2.0, 21))
 
 
 def test_calibrated_constants(grid, spec):
@@ -240,14 +239,6 @@ def test_estimate_lambda_star(grid, spec):
     assert best < spec.m
     strong, _ = estimate_lambda_star(spec, 10.0, grid)
     assert strong >= spec.m
-
-
-def test_single_coupling_report(grid, spec):
-    rep = hylomorphy_report(spec, 1e-3, grid)
-    assert isinstance(rep, HylomorphyReport)
-    assert rep.hylomorphic
-    assert rep.best_ratio <= rep.bound_at_best + 1e-6
-    assert rep.q_bar_est is None
 
 
 def test_threshold_report(grid, spec):

@@ -71,7 +71,7 @@ def test_fd_consistency_is_second_order():
 
 
 def test_admissibility_default():
-    rep = check_admissibility(default_potential(), s_max=10.0)
+    rep = check_admissibility(default_potential())
     print(rep)
     assert rep.positivity and rep.nondegenerate and rep.hylomorphy
     assert rep.growth == "pass"
@@ -98,7 +98,7 @@ def test_admissibility_pure_mass():
 
 def test_admissibility_unbounded_below():
     # W = s^2/2 - s^4/4 goes negative: W(3) = 4.5 - 20.25
-    rep = check_admissibility(PotentialSpec("poly46", a=1.0, b=0.0), s_max=10.0)
+    rep = check_admissibility(PotentialSpec("poly46", a=1.0, b=0.0))
     assert not rep.positivity
     assert not rep.admissible
 
@@ -111,18 +111,12 @@ def test_poly46_growth_marginal():
 
 
 def test_hylomorphy_constants_max_threshold():
-    alpha, s_bar = hylomorphy_constants(default_potential(), "max_threshold")
+    alpha, s_bar = hylomorphy_constants(default_potential())
     print(alpha, s_bar)
     assert alpha == pytest.approx(0.25, abs=1e-12)
     assert s_bar == pytest.approx(1.0, abs=1e-2)
     # witness inequality at the stored pair
     assert default_potential().w(s_bar) <= 0.5 * alpha ** 2 * s_bar ** 2 + 1e-12
-
-
-def test_hylomorphy_constants_min_ratio_floor():
-    alpha, s_bar = hylomorphy_constants(default_potential(), "min_ratio", alpha_min=0.05)
-    assert alpha == pytest.approx(0.05)
-    assert s_bar == pytest.approx(1.0, abs=1e-2)
 
 
 def test_hylomorphy_constants_pure_mass_errors():
@@ -134,7 +128,7 @@ def test_hylomorphy_constants_pure_mass_errors():
 def test_max_threshold_beats_sampled_alphas():
     # no feasible alpha on a grid scores higher on (m - a)^3 a
     spec = default_potential()
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+    alpha, s_bar = hylomorphy_constants(spec)
     best = (spec.m - alpha) ** 3 * alpha
     s = np.linspace(0.0, 10.0, 4001)[1:]
     curve = np.sqrt(2.0 * np.maximum(spec.w(s), 0.0)) / s
@@ -146,7 +140,7 @@ def test_max_threshold_beats_sampled_alphas():
 
 def test_poly46_constants_above_curve_minimum():
     spec = PotentialSpec("poly46", a=1.0, b=0.3)
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+    alpha, s_bar = hylomorphy_constants(spec)
     # curve minimum sqrt(1 - 3 a^2/(16 b)) = sqrt(0.375) exceeds m/4
     assert alpha == pytest.approx(np.sqrt(0.375), rel=1e-4)
     assert spec.w(s_bar) <= 0.5 * alpha ** 2 * s_bar ** 2 * (1 + 1e-9)

@@ -7,6 +7,8 @@ discrete fixed-point values are frozen from the first converged runs so
 regressions show up as drift against them.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def charged_profile(spec, grid):
 @pytest.fixture(scope="module")
 def flow_seed(spec, grid):
     from qball.potential import hylomorphy_constants
-    alpha, s_bar = hylomorphy_constants(spec, "max_threshold")
+    alpha, s_bar = hylomorphy_constants(spec)
     return build_test_state(TestStateParams(s_bar, alpha, 10.0, FLOW_Q), grid)
 
 
@@ -534,6 +536,16 @@ def test_family_sweep_rejects_double_parameter(spec, grid):
 def test_tail_warning_near_mass_threshold(spec, grid):
     with pytest.warns(RuntimeWarning):
         solve_profile(spec, 0.97, 0.0, grid)
+
+
+def test_descent_point_warns_once_for_its_tail(spec):
+    # the descent state is discarded, so only the finished profile warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sweep = family_sweep(spec, 1e-3, RadialGrid(20.0, 600),
+                             delta_list=[1e-3])
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert f"{sweep.profiles[0].tail_ratio:.2e}" in str(caught[0].message)
 
 
 def test_descent_seed_is_admissible(spec, grid):

@@ -171,6 +171,10 @@ def _validate(pairs, lines):
             raise ConfigError(
                 f"{sk[1]}: cannot parse {raw!r} as {conv.__name__}",
                 lines.get(sk)) from None
+        # the range checks below compare with < and <=, which nan passes
+        if conv in (float, _floats) and not np.all(np.isfinite(values[sk])):
+            raise ConfigError(f"{sk[1]}: must be finite, got {raw!r}",
+                              lines.get(sk))
 
     def get(section, key, default):
         return values.get((section, key), default)
@@ -341,14 +345,13 @@ def _run_check_potential(cfg, stage):
 
 
 def _run_hylomorphy(cfg, stage):
-    grid = cfg.grid()
     alpha, s_bar = hylomorphy_constants(cfg.spec)
-    c1, c6 = calibrate_constants(cfg.spec, grid)
+    c1, c6 = calibrate_constants(cfg.spec, cfg.r_max)
     rows = []
     report = [("m", cfg.spec.m), ("alpha", alpha), ("s_bar", s_bar),
               ("c1", c1), ("c6", c6)]
     for i, q in enumerate(cfg.q_values):
-        sweep = ratio_sweep(cfg.spec, q, grid)
+        sweep = ratio_sweep(cfg.spec, q, cfg.r_max)
         best_R, best = min(sweep, key=lambda t: t[1])
         for R, ratio in sweep:
             bound = ratio_bound(alpha, s_bar, q, R, c1, c6)
@@ -366,7 +369,7 @@ def _run_hylomorphy(cfg, stage):
 
 
 def _run_threshold(cfg, stage):
-    report = q_threshold(cfg.spec, cfg.grid())
+    report = q_threshold(cfg.spec, cfg.r_max)
     items = sorted(dataclasses.asdict(report).items())
     _write_report(os.path.join(stage, "threshold.txt"), items)
     print(f"threshold: q_bar_est={report.q_bar_est:.6g} "

@@ -91,23 +91,6 @@ class DynState:
                         self.t, self.sponge_flux)
 
 
-def charge_density(state):
-    """Gauss source rho = -q Im(D_t psi conj(psi)), evaluated in place."""
-    if state.q == 0.0:
-        return np.zeros(state.grid.n)
-    return -state.q * np.imag(state.d_t_psi * np.conj(state.psi))
-
-
-def theta_field(state):
-    """Phase-velocity variable theta = -rho/(q|psi|) where |psi| > 1e-6."""
-    mod = np.abs(state.psi)
-    mask = mod > 1e-6
-    theta = np.zeros(state.grid.n)
-    theta[mask] = (np.imag(state.d_t_psi * np.conj(state.psi))[mask]
-                   / mod[mask])
-    return theta, mask
-
-
 def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard,
                    solve=gauss_potential):
     """Solve the Gauss constraint, feeding the previous phi into rho.
@@ -437,9 +420,6 @@ class StabilityReport:
         return [dataclasses.replace(runs[None, 0.0], mode=mode)
                 if eps == 0.0 else runs[mode, eps]
                 for mode in self.modes for eps in self.eps_list]
-
-    def by_mode(self, mode):
-        return [row for row in self.rows if row.mode == mode]
 
 
 def classify_ratio(ratio):

@@ -1,35 +1,37 @@
-"""Explicit trial states, Coulomb estimates, and the coupling threshold.
+"""Explicit trial states, their closed-form ratios, and the coupling threshold.
 
 The trial profile is a plateau of height s_bar out to radius R with a
-linear ramp to zero on [R, R+1], carrying theta = alpha u.  The
-witnesses (alpha, s_bar) are fixed per potential by
-potential.hylomorphy_constants, and the radii R by DEFAULT_R_LIST capped
-at r_max - 1, so every sweep here takes only (spec, q, grid).  The
-energy-to-charge ratio obeys the closed-form estimate
+linear ramp to zero on [R, R+1], carrying theta = alpha u (Coleman's
+thin-wall ansatz).  The witnesses (alpha, s_bar) come from
+potential.hylomorphy_constants and the radii from DEFAULT_R_LIST capped
+at r_max - 1, so every sweep takes only (spec, q, r_max).  Its integrals
+are closed-form, with no grid: plateau terms are monomials in R, ramp
+terms 8-point Gauss-Legendre sums, and the exterior field adds
+Q(R+1)^2/(R+1).  The Coulomb field is linear in q, so the ratio is
+exactly E/|C| = A_R + q^2 B_R, and it obeys
 
     E/|C| <= alpha + c1/(alpha R) + c6 q^2 alpha s_bar^2 R^2,
 
-where c1 and c6 are calibrated operationally as the smallest constants
-that make the inequality tight over a reference (R, q) sweep.  Driving
-the directly computed ratio below the mass parameter m certifies that
-bound states are energetically possible.  The ratio is exactly quadratic
-in q, which puts the coupling threshold q_bar in closed form, alongside
-the analytic scale (c/s_bar) sqrt((m-alpha)^3 alpha) implied by the
-calibrated constants through the optimal choice R = c1/(alpha eps),
-eps = (m-alpha)/2.
+with c1 and c6 fitted on the exact A_R and B_R as the smallest constants
+that make it tight over the R list and CALIBRATION_Q.  A ratio below the
+mass m certifies that bound states are energetically possible.  The
+coupling threshold q_bar is in closed form, alongside the analytic scale
+(c/s_bar) sqrt((m-alpha)^3 alpha) that the constants imply through
+R = c1/(alpha eps), eps = (m-alpha)/2.  build_test_state samples the
+same state on a grid, as a descent start.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .fields import FOUR_PI, FieldState, functionals, solve_poisson
+from .fields import FOUR_PI, FieldState, solve_poisson
 from .potential import hylomorphy_constants
 
 DEFAULT_R_LIST = (2.0, 5.0, 10.0, 20.0, 40.0)
 CALIBRATION_Q = (0.0, 1e-3, 1e-2)
 # ratio margin, in units of m, by which the threshold bracket must clear m;
-# the sweep is quadratic in q to within 5e-14 on the presets measured
+# well above the roundoff of A_R + q^2 B_R
 THRESHOLD_MARGIN = 1e-13
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
@@ -99,22 +101,28 @@ def build_test_state(p, grid):
     return state
 
 
-def _ramp_integral(p, r_hi):
-    """int_R^{min(r_hi, R+1)} s_bar^2 (R+1-v)^2 v^2 dv by 8-point quadrature.
-
-    The integrand is a quartic polynomial, for which the rule is exact.
-    Accepts scalar or array r_hi.
-    """
-    hi = np.minimum(np.asarray(r_hi, dtype=float), p.R + 1.0)
-    half = 0.5 * (hi - p.R)
-    mid = p.R + half
+def _gauss(f, lo, hi):
+    """int_lo^hi f(v) dv by the 8-point Gauss-Legendre rule, exact up to
+    degree 15; hi may be an array."""
+    half = 0.5 * (np.asarray(hi, dtype=float) - lo)
+    mid = lo + half
     v = mid[..., None] + half[..., None] * _GL_X
-    f = p.s_bar ** 2 * (p.R + 1.0 - v) ** 2 * v * v
-    return half * (f @ _GL_W)
+    return half * (f(v) @ _GL_W)
+
+
+def _enclosed(p, r):
+    """Q(r) = int_0^r u^2 v^2 dv of the trial state, for r >= R.
+
+    The plateau gives s_bar^2 R^3 / 3; the ramp integrand is a quartic.
+    Accepts scalar or array r.
+    """
+    ramp = _gauss(lambda v: p.s_bar ** 2 * (p.R + 1.0 - v) ** 2 * v * v,
+                  p.R, np.minimum(r, p.R + 1.0))
+    return p.s_bar ** 2 * p.R ** 3 / 3.0 + ramp
 
 
 def exact_coulomb_field(p, r):
-    """|grad phi|(r) of the trial state, as 4 pi q alpha int_0^r u^2 v^2 dv / r^2.
+    """|grad phi|(r) of the trial state, as 4 pi q alpha Q(r) / r^2.
 
     Inside the plateau this is exactly (4/3) pi q alpha s_bar^2 r; across
     the ramp the remaining quartic integral is evaluated by quadrature.
@@ -127,27 +135,30 @@ def exact_coulomb_field(p, r):
     out[inside] = FOUR_PI / 3.0 * p.q * p.alpha * p.s_bar ** 2 * r[inside]
     rest = ~inside
     if np.any(rest):
-        plateau = p.s_bar ** 2 * p.R ** 3 / 3.0
-        cel = FOUR_PI * p.q * p.alpha * (plateau + _ramp_integral(p, r[rest]))
+        cel = FOUR_PI * p.q * p.alpha * _enclosed(p, r[rest])
         out[rest] = cel / r[rest] ** 2
     return float(out[0]) if scalar else out
 
 
-def coulomb_energy(p, grid):
+def _coulomb_integral(p):
+    """int_0^inf Q(r)^2 / r^2 dr of the trial state.
+
+    The plateau gives s_bar^4 R^5 / 45 and the exterior Q(R+1)^2 / (R+1);
+    the ramp integrand is rational, and the 8-point rule meets it at
+    roundoff for R > 1.
+    """
+    ramp = _gauss(lambda v: _enclosed(p, v) ** 2 / (v * v), p.R, p.R + 1.0)
+    return float(p.s_bar ** 4 * p.R ** 5 / 45.0 + ramp
+                 + _enclosed(p, p.R + 1.0) ** 2 / (p.R + 1.0))
+
+
+def coulomb_energy(p):
     """int |grad phi|^2 4 pi r^2 dr of the trial state, in the 4 pi field convention.
 
-    Grid quadrature out to r_max plus the closed-form Coulomb tail beyond
-    (the exterior contributes at the same order in R as the interior, so
-    truncating it would bias the scaling exponent).
+    With the field of exact_coulomb_field this is
+    (4 pi)^3 (q alpha)^2 int_0^inf Q^2/r^2 dr, exterior included.
     """
-    if p.R + 1.0 > grid.r_max:
-        raise GridTooSmallError(f"need r_max >= R+1 = {p.R + 1.0}, have {grid.r_max}")
-    f = exact_coulomb_field(p, grid.r)
-    inner = grid.integrate(f * f)
-    cel_inf = FOUR_PI * p.q * p.alpha * (p.s_bar ** 2 * p.R ** 3 / 3.0
-                                         + float(_ramp_integral(p, p.R + 1.0)))
-    tail = FOUR_PI * cel_inf ** 2 / grid.r_max
-    return inner + tail
+    return FOUR_PI ** 3 * (p.q * p.alpha) ** 2 * _coulomb_integral(p)
 
 
 def ratio_bound(alpha, s_bar, q, R, c1, c6):
@@ -155,77 +166,87 @@ def ratio_bound(alpha, s_bar, q, R, c1, c6):
     return alpha + c1 / (alpha * R) + c6 * q * q * alpha * s_bar ** 2 * R * R
 
 
-def coulomb_tail(state):
-    """Closed-form exterior Coulomb energy (1/2) int_{r_max}^inf E^2 4 pi r^2 dr.
+def _trial_functionals(spec, p):
+    """(E at q = 0, C, Coulomb energy per q^2) of the trial state p.
 
-    Outside the grid the field is Q/r^2 with Q read off the boundary
-    node.  The trial field decays that slowly by construction, so the
-    truncated exterior carries a fixed fraction of the Coulomb energy
-    and dropping it would bias every q-dependent quantity.
+    E = 4 pi int (alpha^2 u^2/2 + u'^2/2 + W(u)) r^2 dr and
+    C = 4 pi alpha int u^2 r^2 dr; the Coulomb energy
+    (1/2) int E_r^2 4 pi r^2 dr with E_r = q alpha Q/r^2 is
+    2 pi (q alpha)^2 int Q^2/r^2 dr.
     """
-    return 0.5 * FOUR_PI * state.grid.r_max ** 3 * state.E_r[-1] ** 2
+    R, s_bar, alpha = p.R, p.s_bar, p.alpha
+    mass = float(_enclosed(p, R + 1.0))
+    grad = s_bar ** 2 * ((R + 1.0) ** 3 - R ** 3) / 3.0
+    pot = spec.w(s_bar) * R ** 3 / 3.0 + _gauss(
+        lambda v: spec.w(s_bar * (R + 1.0 - v)) * v * v, R, R + 1.0)
+    energy = FOUR_PI * (0.5 * alpha ** 2 * mass + 0.5 * grad + float(pot))
+    return (energy, FOUR_PI * alpha * mass,
+            0.5 * FOUR_PI * alpha ** 2 * _coulomb_integral(p))
 
 
-def ratio_sweep(spec, q, grid):
-    """Energy-to-charge ratio of the trial state across the R sweep.
+def _ratio_coefficients(spec, r_max):
+    """[(R, A_R, B_R)] with E/|C| = A_R + q^2 B_R for each trial radius.
 
     The witnesses come from hylomorphy_constants(spec) and the radii
-    from DEFAULT_R_LIST capped at r_max - 1.  The energy is the grid
-    functional plus the exterior Coulomb tail.
+    from DEFAULT_R_LIST capped at r_max - 1.
     """
     alpha, s_bar = hylomorphy_constants(spec)
-    radii = sorted({min(R, grid.r_max - 1.0) for R in DEFAULT_R_LIST})
+    radii = sorted({min(R, r_max - 1.0) for R in DEFAULT_R_LIST})
     if radii[0] <= 1.0:
         raise ValueError("R sweep leaves no admissible radius")
     rows = []
     for R in radii:
-        state = build_test_state(TestStateParams(s_bar, alpha, R, q), grid)
-        f = functionals(state, spec)
-        rows.append((R, (f.energy + coulomb_tail(state)) / abs(f.charge)))
+        energy, charge, coulomb = _trial_functionals(
+            spec, TestStateParams(s_bar, alpha, R))
+        rows.append((R, energy / charge, coulomb / charge))
     return rows
 
 
-def estimate_lambda_star(spec, q, grid):
+def ratio_sweep(spec, q, r_max):
+    """Energy-to-charge ratio A_R + q^2 B_R of the trial state across the R sweep."""
+    return [(R, a + q * q * b) for R, a, b in _ratio_coefficients(spec, r_max)]
+
+
+def estimate_lambda_star(spec, q, r_max):
     """Best (smallest) trial ratio over the R sweep: an upper bound on Lambda*."""
-    best_R, best = min(ratio_sweep(spec, q, grid), key=lambda t: t[1])
+    best_R, best = min(ratio_sweep(spec, q, r_max), key=lambda t: t[1])
     return best, best_R
 
 
-def calibrate_constants(spec, grid):
+def calibrate_constants(spec, r_max):
     """Fit (c1, c6) as the maxima that make the ratio bound tight on the sweep.
 
-    c1 bounds the q-independent excess alpha R (ratio - alpha) at q = 0;
-    c6 then bounds the remaining Coulomb excess per q^2 alpha s_bar^2 R^2.
-    By construction every sweep point satisfies ratio <= bound.
+    c1 bounds the q-independent excess alpha R (A_R - alpha); c6 then
+    bounds the remaining Coulomb excess per q^2 alpha s_bar^2 R^2 over
+    CALIBRATION_Q.  By construction every sweep point satisfies
+    ratio <= bound.
     """
     alpha, s_bar = hylomorphy_constants(spec)
-    base = dict(ratio_sweep(spec, 0.0, grid))
-    c1 = max(alpha * R * (ratio - alpha) for R, ratio in base.items())
+    rows = _ratio_coefficients(spec, r_max)
+    c1 = max(alpha * R * (a - alpha) for R, a, _ in rows)
     c6 = 0.0
     for q in CALIBRATION_Q:
         if q == 0.0:
             continue
-        for R, ratio in ratio_sweep(spec, q, grid):
-            excess = ratio - alpha - c1 / (alpha * R)
+        for R, a, b in rows:
+            excess = a + q * q * b - alpha - c1 / (alpha * R)
             c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))
     return c1, c6
 
 
-def q_threshold(spec, grid):
+def q_threshold(spec, r_max):
     """Closed-form coupling threshold for the verdict min_R E/|C| < m.
 
-    The Coulomb field of a trial state is linear in q, so its ratio is
-    exactly A_R + q^2 B_R, with A_R read off a q = 0 sweep and B_R off a
-    q = 1 sweep; the threshold is q_bar = max_R sqrt((m - A_R)/B_R).
-    Returns a HylomorphyReport whose bracket q_bar_est < q_bar < q_ceiling
-    is verified by direct evaluation on both sides, with the calibrated
-    (c1, c6) and the analytic threshold scale (c/s_bar)
-    sqrt((m-alpha)^3 alpha) with c = 1/(c1 sqrt(8 c6)).
+    The trial ratio is A_R + q^2 B_R, so the threshold is
+    q_bar = max_R sqrt((m - A_R)/B_R).  Returns a HylomorphyReport whose
+    bracket q_bar_est < q_bar < q_ceiling is verified by direct
+    evaluation on both sides, with the calibrated (c1, c6) and the
+    analytic threshold scale (c/s_bar) sqrt((m-alpha)^3 alpha) with
+    c = 1/(c1 sqrt(8 c6)).
     """
     alpha, s_bar = hylomorphy_constants(spec)
-    c1, c6 = calibrate_constants(spec, grid)
-    a = np.array(ratio_sweep(spec, 0.0, grid))[:, 1]
-    b = np.array(ratio_sweep(spec, 1.0, grid))[:, 1] - a
+    c1, c6 = calibrate_constants(spec, r_max)
+    _, a, b = np.array(_ratio_coefficients(spec, r_max)).T
     if not a.min() < spec.m:
         raise InconsistentSetupError(
             f"trial ratio {a.min():.6g} is not below m even at q = 0")
@@ -236,12 +257,11 @@ def q_threshold(spec, grid):
     # above the roundoff of the sweep (its slope in q_bar is 2 (m - A_R))
     eps = THRESHOLD_MARGIN * spec.m / (2.0 * (spec.m - a[k]))
     q_lo, q_hi = q_bar * (1.0 - eps), q_bar * (1.0 + eps)
-    ratio, best_R = estimate_lambda_star(spec, q_lo, grid)
-    ceiling, _ = estimate_lambda_star(spec, q_hi, grid)
+    ratio, best_R = estimate_lambda_star(spec, q_lo, r_max)
+    ceiling, _ = estimate_lambda_star(spec, q_hi, r_max)
     if not ratio < spec.m <= ceiling:
         raise InconsistentSetupError(
-            f"closed-form threshold {q_bar:.17g} is not confirmed by the "
-            "sweep; the trial ratio is not quadratic in q")
+            f"closed-form threshold {q_bar:.17g} is not confirmed by the sweep")
 
     scale_c = 1.0 / (c1 * np.sqrt(8.0 * c6)) if c6 > 0 else None
     analytic = (scale_c / s_bar * np.sqrt((spec.m - alpha) ** 3 * alpha)

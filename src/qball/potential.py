@@ -129,14 +129,6 @@ def default_potential():
     return PotentialSpec("double_well")
 
 
-def evaluate(spec, s):
-    """Return (W, W', N, N') at s >= 0; negative s is rejected."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("potential evaluated at negative field value")
-    return spec.w(s), spec.wp(s), spec.n(s), spec.nprime(s)
-
-
 @dataclasses.dataclass
 class AdmissibilityReport:
     positivity: bool

@@ -59,7 +59,7 @@ def _verdict(number, ok, detail):
 @pytest.fixture(scope="module")
 def threshold_run(spec, grid):
     t0 = time.monotonic()
-    report = q_threshold(spec, grid)
+    report = q_threshold(spec, grid.r_max)
     return report, time.monotonic() - t0
 
 
@@ -116,10 +116,10 @@ def test_criterion_01_pointwise_ratio_bound(spec):
 def test_criterion_02_trial_ratio_below_mass(spec, grid):
     t0 = time.monotonic()
     alpha, s_bar = hylomorphy_constants(spec)
-    c1, c6 = calibrate_constants(spec, grid)
+    c1, c6 = calibrate_constants(spec, grid.r_max)
     results = []
     for q in (0.0, 1e-3, 1e-2):
-        ratio, best_R = estimate_lambda_star(spec, q, grid)
+        ratio, best_R = estimate_lambda_star(spec, q, grid.r_max)
         bound = ratio_bound(alpha, s_bar, q, best_R, c1, c6)
         results.append((q, ratio, bound))
     elapsed = time.monotonic() - t0
@@ -133,13 +133,12 @@ def test_criterion_02_trial_ratio_below_mass(spec, grid):
 
 
 def test_criterion_03_coulomb_scaling(spec):
-    g = RadialGrid(50.0, 5000)
     alpha, s_bar = hylomorphy_constants(spec)
     radii = (5.0, 10.0, 20.0, 40.0)
-    vals = [coulomb_energy(TestStateParams(s_bar, alpha, R, 0.01), g)
+    vals = [coulomb_energy(TestStateParams(s_bar, alpha, R, 0.01))
             for R in radii]
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
-    doubled = coulomb_energy(TestStateParams(s_bar, alpha, 10.0, 0.02), g)
+    doubled = coulomb_energy(TestStateParams(s_bar, alpha, 10.0, 0.02))
     ratio = doubled / vals[1]
 
     ok = 4.5 <= slope <= 5.0 and abs(ratio - 4.0) <= 1e-10
@@ -150,8 +149,9 @@ def test_criterion_03_coulomb_scaling(spec):
 
 def test_criterion_04_coupling_threshold(spec, grid, threshold_run):
     report, elapsed = threshold_run
-    ratio_zero, _ = estimate_lambda_star(spec, 0.0, grid)
-    ratio_ceiling, _ = estimate_lambda_star(spec, report.q_ceiling, grid)
+    ratio_zero, _ = estimate_lambda_star(spec, 0.0, grid.r_max)
+    ratio_ceiling, _ = estimate_lambda_star(spec, report.q_ceiling,
+                                            grid.r_max)
 
     ok = (report.q_bar_est > 0.0 and ratio_zero < spec.m
           and not ratio_ceiling < spec.m

@@ -58,11 +58,11 @@ TINY_DIGESTS = {
     "check-potential/admissibility.txt":
         "96d5fbb122f697e6c83440d61db8b59e6ab039b3cd1d948c6453d51e038c1f9c",
     "hylomorphy/hylomorphy.csv":
-        "a385fbf85450aafff7adcc7c85770d5af48deccd3532b2c8650411b9bb8d60de",
+        "9638b0942754dd164efc959b00768f3891aeec248c21ca016e8246076c3cc70b",
     "hylomorphy/hylomorphy.txt":
-        "1a41d66df31e59bc93f10bb30553c8b3760b6e35d6aa81c7ebc9a202405d5032",
+        "c45259081936d4db4d596bcf7aaead92968468d2bf746a8788c3ef9aa96cd380",
     "threshold/threshold.txt":
-        "0f3c91a9dcfd4d5a4a0e1a4d0db4bb1a2a22ee8e7521714a4c9e6681f9c294e8",
+        "3f5dffab54b95980c0ec7bd2afd068ec3611d0b1edb6f15444b6c678be4d4172",
     "solve/profile_omega0.7_q0.01.txt":
         "5eb502dab7fd0de0c42c30ce34a6395bdf6eb7cd26fa7a1c9d2b12678e483a84",
     "solve/profile_omega0.8_q0.01.txt":
@@ -224,6 +224,29 @@ def test_parse_field_validation(tmp_path):
     for body, field in bad.items():
         with pytest.raises(ConfigError, match=field):
             parse_config(_cfg(tmp_path, body))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("charge", "q", "nan"),
+    ("charge", "q", "inf"),
+    ("grid", "r_max", "nan"),
+    ("dynamics", "T", "nan"),
+    ("solver", "omega_list", "0.5, nan"),
+    ("solver", "tol", "nan"),
+    ("potential", "m", "nan"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, section, key, value):
+    path = _cfg(tmp_path, f"""
+        [{section}]
+        {key} = {value}
+
+        [output]
+        out_dir = {tmp_path / "out"}
+        """)
+    with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+        parse_config(path)
+    assert main(["hylomorphy", "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_missing_out_parent(tmp_path):

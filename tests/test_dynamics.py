@@ -19,7 +19,6 @@ from qball.dynamics import (
     PERTURBATION_MODES,
     SERIES_RANGE,
     TRACE_COLUMNS,
-    charge_density,
     constrain,
     dyn_charge,
     dyn_energy,
@@ -30,7 +29,6 @@ from qball.dynamics import (
     perturb,
     stability_probe,
     step,
-    theta_field,
     _kick,
     _plain_distance,
 )
@@ -233,14 +231,13 @@ def test_gauge_sector_consistency(spec, charged_profile):
     st = lift_profile(charged_profile, spec)
     for _ in range(500):
         st = step(st, 0.002)
-    rho = charge_density(st)
-    theta, mask = theta_field(st)
-    # the two reconstructions are tied together wherever psi is visible
-    back = -st.q * theta[mask] * np.abs(st.psi)[mask]
-    assert np.max(np.abs(rho[mask] - back)) < 1e-12
-    # and the evolved theta still matches the stationary one
+    # theta = Im(D_t psi conj(psi)) / |psi| wherever psi is visible
+    mod = np.abs(st.psi)
+    mask = mod > 1e-6
+    theta = np.imag(st.d_t_psi * np.conj(st.psi))[mask] / mod[mask]
+    # the evolved theta still matches the stationary one
     ref = charged_profile.state.theta
-    assert np.max(np.abs(theta[mask] + np.abs(ref)[mask])) < 1e-4
+    assert np.max(np.abs(theta + np.abs(ref)[mask])) < 1e-4
 
 
 def test_orbit_distance_phase_invariance(neutral_lift):
@@ -276,7 +273,7 @@ def test_stability_probe_neutral(spec, grid, neutral_profile):
         assert row.failure is None
         assert row.classification == "stable-like"
     for mode in PERTURBATION_MODES:
-        rows = report.by_mode(mode)
+        rows = [row for row in report.rows if row.mode == mode]
         eps = [row.eps for row in rows]
         assert eps == sorted(eps)
         dmax = [row.max_distance for row in rows]
@@ -304,7 +301,7 @@ def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
     assert [r.seed for r in report.runs] == [5, 6, 7, 8]
     assert len(report.rows) == 2 * len(PERTURBATION_MODES)
     for mode in PERTURBATION_MODES:
-        zero = report.by_mode(mode)[0]
+        zero = next(row for row in report.rows if row.mode == mode)
         assert zero.eps == 0.0 and zero.trace is report.runs[0].trace
 
 

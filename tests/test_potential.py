@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qball.potential import (
     AdmissibilityError, PotentialSpec, check_admissibility, default_potential,
-    evaluate, hylomorphy_constants)
+    hylomorphy_constants)
 
 # default potential W(s) = s^2 (1-s)^2 / 2, frozen by hand
 eval_cases = {
@@ -20,15 +20,11 @@ eval_cases = {
 
 @pytest.mark.parametrize("s", sorted(eval_cases))
 def test_evaluate_default(s):
-    got = evaluate(default_potential(), s)
+    spec = default_potential()
+    got = (spec.w(s), spec.wp(s), spec.n(s), spec.nprime(s))
     want = eval_cases[s]
     print(s, got)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
-
-
-def test_negative_s_rejected():
-    with pytest.raises(ValueError):
-        evaluate(default_potential(), -0.1)
 
 
 def test_origin_conditions():

@@ -228,7 +228,9 @@ def energy_norm(spec, w, k2, s):
 
 
 def functionals(state, spec, w=None):
-    """Energy, charge and energy norm in one pass, under weights w or g.w."""
+    """Energy, charge and energy norm in one pass, under weights w or g.w:
+    E = (1/2) int (u_hat^2 + |grad u|^2 + theta^2 + Theta^2 + E^2) + int W(u)
+    and C = int theta u; the norm has m^2 u^2 in place of 2 W(u)."""
     _require_finite(state)
     w = state.grid.w if w is None else w
     k2 = (state.u_hat ** 2 + state.grid.d_dr(state.u) ** 2 + state.theta ** 2
@@ -236,22 +238,6 @@ def functionals(state, spec, w=None):
     e, norm, nonlinear = energy_norm(spec, w, k2, np.abs(state.u))
     return Functionals(e, float(w @ (state.theta * state.u)), norm,
                        0.5 * float(w @ k2), nonlinear)
-
-
-def energy(state, spec):
-    """E = (1/2) int (u_hat^2 + |grad u|^2 + theta^2 + Theta^2 + E^2) + int W(u)."""
-    return functionals(state, spec).energy
-
-
-def charge(state):
-    """C = int theta u (sign preserved)."""
-    _require_finite(state)
-    return state.grid.integrate(state.theta * state.u)
-
-
-def energy_norm_sq(state, spec):
-    """int (u_hat^2 + |grad u|^2 + m^2 u^2 + theta^2 + Theta^2 + E^2)."""
-    return functionals(state, spec).energy_norm_sq
 
 
 def local_ratio(state, r_lo, r_hi, spec):

@@ -207,10 +207,25 @@ def ratio_sweep(spec, q, r_max):
     return [(R, a + q * q * b) for R, a, b in _ratio_coefficients(spec, r_max)]
 
 
+def _lowest(rows, q):
+    """(min_R A_R + q^2 B_R, that R); rows run in R, so a tie keeps the first."""
+    return min((a + q * q * b, R) for R, a, b in rows)
+
+
 def estimate_lambda_star(spec, q, r_max):
     """Best (smallest) trial ratio over the R sweep: an upper bound on Lambda*."""
-    best_R, best = min(ratio_sweep(spec, q, r_max), key=lambda t: t[1])
-    return best, best_R
+    return _lowest(_ratio_coefficients(spec, r_max), q)
+
+
+def _calibrate(alpha, s_bar, rows):
+    """(c1, c6) of calibrate_constants from the rows of _ratio_coefficients."""
+    c1 = max(alpha * R * (a - alpha) for R, a, _ in rows)
+    c6 = 0.0
+    for q in filter(None, CALIBRATION_Q):    # q = 0 holds by c1 alone
+        for R, a, b in rows:
+            excess = a + q * q * b - alpha - c1 / (alpha * R)
+            c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))
+    return c1, c6
 
 
 def calibrate_constants(spec, r_max):
@@ -221,17 +236,7 @@ def calibrate_constants(spec, r_max):
     CALIBRATION_Q.  By construction every sweep point satisfies
     ratio <= bound.
     """
-    alpha, s_bar = hylomorphy_constants(spec)
-    rows = _ratio_coefficients(spec, r_max)
-    c1 = max(alpha * R * (a - alpha) for R, a, _ in rows)
-    c6 = 0.0
-    for q in CALIBRATION_Q:
-        if q == 0.0:
-            continue
-        for R, a, b in rows:
-            excess = a + q * q * b - alpha - c1 / (alpha * R)
-            c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))
-    return c1, c6
+    return _calibrate(*hylomorphy_constants(spec), _ratio_coefficients(spec, r_max))
 
 
 def q_threshold(spec, r_max):
@@ -242,11 +247,12 @@ def q_threshold(spec, r_max):
     bracket q_bar_est < q_bar < q_ceiling is verified by direct
     evaluation on both sides, with the calibrated (c1, c6) and the
     analytic threshold scale (c/s_bar) sqrt((m-alpha)^3 alpha) with
-    c = 1/(c1 sqrt(8 c6)).
+    c = 1/(c1 sqrt(8 c6)).  The ratio rows are built once per call.
     """
     alpha, s_bar = hylomorphy_constants(spec)
-    c1, c6 = calibrate_constants(spec, r_max)
-    _, a, b = np.array(_ratio_coefficients(spec, r_max)).T
+    rows = _ratio_coefficients(spec, r_max)
+    c1, c6 = _calibrate(alpha, s_bar, rows)
+    _, a, b = np.array(rows).T
     if not a.min() < spec.m:
         raise InconsistentSetupError(
             f"trial ratio {a.min():.6g} is not below m even at q = 0")
@@ -257,8 +263,8 @@ def q_threshold(spec, r_max):
     # above the roundoff of the sweep (its slope in q_bar is 2 (m - A_R))
     eps = THRESHOLD_MARGIN * spec.m / (2.0 * (spec.m - a[k]))
     q_lo, q_hi = q_bar * (1.0 - eps), q_bar * (1.0 + eps)
-    ratio, best_R = estimate_lambda_star(spec, q_lo, r_max)
-    ceiling, _ = estimate_lambda_star(spec, q_hi, r_max)
+    ratio, best_R = _lowest(rows, q_lo)
+    ceiling, _ = _lowest(rows, q_hi)
     if not ratio < spec.m <= ceiling:
         raise InconsistentSetupError(
             f"closed-form threshold {q_bar:.17g} is not confirmed by the sweep")

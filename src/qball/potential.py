@@ -3,14 +3,15 @@
 A potential enters the rest of the stack only through scalar callables
 (W, W', W'', N, N', and the regularized quotient W'(s)/s used by the
 complex-field evolution), each a polynomial evaluation.  Four structural
-conditions are certified, three of them numerically on a sample range:
+conditions are certified, positivity and hylomorphy exactly from the
+minimum of the polynomial alpha(s)^2 = 2 W(s)/s^2 on (0, s_max]:
 
 * positivity:    W(s) >= 0 on [0, s_max],
 * nondegeneracy: W''(0) = m^2, read exactly off the polynomial,
 * hylomorphy:    alpha(s) = sqrt(2 W(s))/s dips below m somewhere, which
   yields witnesses (alpha, s_bar) with W(s_bar) <= alpha^2 s_bar^2 / 2,
 * growth:        |N'(s)| <= a s^(p-1) + b s^(2-2/p) for the declared
-  exponent p, fitted for the smallest feasible a + b.
+  exponent p, fitted on samples for the smallest feasible a + b.
 
 The hylomorphy witnesses (alpha, s_bar) parametrize the explicit trial
 states and the coupling-threshold search in the ``hylomorphy`` module.
@@ -153,44 +154,52 @@ class AdmissibilityReport:
         return dataclasses.asdict(self)
 
 
-def _alpha_curve(spec, s):
-    """alpha(s) = sqrt(2 W(s))/s on s > 0 (the binding-ratio curve)."""
-    w = np.maximum(spec.w(s), 0.0)
-    return np.sqrt(2.0 * w) / s
+def _real_roots(coeffs, lo, hi):
+    """Real roots in (lo, hi] of sum_j coeffs_j s^j, by np.roots."""
+    s = np.roots(np.asarray(coeffs, dtype=float)[::-1])
+    return s.real[(s.imag == 0.0) & (s.real > lo) & (s.real <= hi)]
+
+
+def _binding_minimum(spec):
+    """(s*, P(s*)) minimizing P(s) = alpha(s)^2 = 2 W(s)/s^2 on (0, s_max]:
+    P = sum_j 2 c_j s^j/(j+2) in the coefficients c_j of W'(s)/s, so s*
+    is s_max = 10 s_scale or a real root of P'."""
+    s_max = 10.0 * spec.s_scale
+    dp = [2.0 * j * cj / (j + 2) for j, cj in enumerate(spec.coeffs)]
+    s = np.append(_real_roots(dp[1:], 0.0, s_max), s_max)
+    p = 2.0 * spec.w(s) / (s * s)
+    k = int(np.argmin(p))
+    return float(s[k]), float(p[k])
 
 
 def check_admissibility(spec):
-    """Sample-based certification of the four structural conditions on W.
+    """Certify the four structural conditions on W.
 
     Returns an AdmissibilityReport; never raises for a merely inadmissible
-    potential (flags carry the verdicts).  W is sampled at 2001 points of
-    [0, s_max] with s_max = 10 s_scale.  The hylomorphy witnesses are the
-    grid argmin of alpha(s), with alpha clipped from below at
-    DEFAULT_ALPHA_MIN.
+    potential (flags carry the verdicts).  Positivity is P(s*) >= -1e-12
+    and hylomorphy P(s*) < m^2 at the exact minimum of _binding_minimum,
+    whose s* is the witness s_bar, with alpha = sqrt(P(s*)) clipped from
+    below at DEFAULT_ALPHA_MIN.  The growth fit and small_s_coeff sample
+    N' at the 2001 points of [0, s_max], s_max = 10 s_scale.
     """
-    s_max = 10.0 * spec.s_scale
-    s = np.linspace(0.0, s_max, 2001)
-    w = spec.w(s)
-    positivity = bool(np.all(w >= -1e-12))
-
+    s_star, p_star = _binding_minimum(spec)
+    hylomorphy = p_star < spec.m ** 2
     nondegenerate = bool(abs(spec.wpp(0.0) - spec.m ** 2) <= 1e-6 * spec.m ** 2)
 
+    s_max = 10.0 * spec.s_scale
+    s = np.linspace(0.0, s_max, 2001)
     sp = s[1:]
-    alpha = _alpha_curve(spec, sp)
-    k = int(np.argmin(alpha))
-    hylomorphy = bool(alpha[k] < spec.m)
-    s_bar = float(sp[k]) if hylomorphy else None
-    alpha_witness = float(max(alpha[k], DEFAULT_ALPHA_MIN)) if hylomorphy else None
-
     growth, ga, gb = _fit_growth(spec, sp)
 
     small = sp[sp <= 0.1 * spec.s_scale]
     small_s_coeff = float(np.max(np.abs(spec.nprime(small)) / small)) if small.size else 0.0
 
     return AdmissibilityReport(
-        positivity=positivity, nondegenerate=nondegenerate,
+        positivity=p_star >= -1e-12, nondegenerate=nondegenerate,
         hylomorphy=hylomorphy, growth=growth,
-        s_bar=s_bar, alpha=alpha_witness,
+        s_bar=s_star if hylomorphy else None,
+        alpha=(max(float(np.sqrt(max(p_star, 0.0))), DEFAULT_ALPHA_MIN)
+               if hylomorphy else None),
         growth_a=ga, growth_b=gb, small_s_coeff=small_s_coeff,
         s_max=float(s_max), n_samples=s.size)
 
@@ -198,9 +207,10 @@ def check_admissibility(spec):
 def _fit_growth(spec, s):
     """Smallest feasible (a, b) with |N'(s_i)| <= a s_i^(p-1) + b s_i^(2-2/p).
 
-    Linear program minimizing a + b subject to the sampled inequalities.
-    A sextic W tops out exactly at the excluded exponent p = 6, so it is
-    reported "marginal" even when the bounded-range fit succeeds.
+    Linear program minimizing a + b subject to the sampled inequalities,
+    always feasible for s > 0, so the verdict follows from p: a sextic W
+    tops out exactly at the excluded exponent p = 6 and is "marginal",
+    any other W "pass"; "fail" only reports a linprog failure.
     """
     p = spec.growth_p
     target = np.abs(spec.nprime(s))
@@ -219,24 +229,21 @@ def _fit_growth(spec, s):
 def hylomorphy_constants(spec):
     """The binding witnesses (alpha, s_bar), W(s_bar) <= alpha^2 s_bar^2 / 2.
 
-    One rule: s_bar is the argmin of the alpha curve, sampled at 4000
-    points of (0, 10 s_scale], and alpha maximizes (m - alpha)^3 alpha
-    over the feasible alphas (those above the curve minimum and
-    DEFAULT_ALPHA_MIN), which is m/4 whenever m/4 is feasible.  The pair
-    is a property of the potential, so it is computed once per spec.
+    One rule: s_bar is s* of _binding_minimum, as in check_admissibility,
+    and alpha maximizes (m - alpha)^3 alpha over the feasible alphas
+    (those above sqrt(P(s*)) and DEFAULT_ALPHA_MIN), which is m/4 whenever
+    m/4 is feasible.  The pair is a property of the potential, so it is
+    computed once per spec.
 
     Raises AdmissibilityError("hylomorphy") when no alpha < m exists.
     """
-    s = np.linspace(0.0, 10.0 * spec.s_scale, 4001)[1:]
-    alpha = _alpha_curve(spec, s)
-    k = int(np.argmin(alpha))
-    alpha_floor_of_curve = float(alpha[k])
-    if not alpha_floor_of_curve < spec.m:
+    s_bar, p_star = _binding_minimum(spec)
+    if not p_star < spec.m ** 2:
         raise AdmissibilityError(
             "hylomorphy", "no alpha in (0, m) with W(s) <= alpha^2 s^2 / 2")
     # (m - alpha)^3 alpha peaks at alpha = m/4 and decreases beyond,
     # so the best feasible alpha is m/4 or the curve minimum above it.
-    best = max(spec.m / 4.0, alpha_floor_of_curve, DEFAULT_ALPHA_MIN)
+    best = max(spec.m / 4.0, float(np.sqrt(max(p_star, 0.0))), DEFAULT_ALPHA_MIN)
     if not best < spec.m:
         raise AdmissibilityError("hylomorphy", "feasible alpha window is empty")
-    return best, float(s[k])
+    return best, s_bar

@@ -28,6 +28,7 @@ from scipy.linalg.lapack import dgbsv
 from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
                      functionals, gauss_field, gauss_residual,
                      potential_from_field, solve_poisson)
+from .potential import _real_roots
 
 DEFAULT_OMEGA_LIST = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 SCAN_SIZE = 64          # shooting candidates per pass
@@ -199,10 +200,7 @@ def shoot_u_given_phi(spec, omega, grid):
 
 def _largest_force_root(spec, omega, lo, hi):
     """Largest real root in (lo, hi] of W'(s)/s = omega^2, or None."""
-    c = np.array(spec.coeffs, dtype=float)
-    c[0] -= omega ** 2
-    s = np.roots(c[::-1])
-    s = s.real[(s.imag == 0.0) & (s.real > lo) & (s.real <= hi)]
+    s = _real_roots((spec.coeffs[0] - omega ** 2,) + spec.coeffs[1:], lo, hi)
     return float(s.max()) if s.size else None
 
 

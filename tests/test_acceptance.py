@@ -16,7 +16,7 @@ from qball.fields import (
     FieldState,
     RadialGrid,
     ZeroShellChargeError,
-    energy_norm_sq,
+    functionals,
     local_ratio,
     solve_poisson,
 )
@@ -185,8 +185,8 @@ def test_criterion_05_stationary_residuals(spec, grid, threshold_run,
                       polished.state.theta - direct.state.theta,
                       polished.state.Theta - direct.state.Theta,
                       polished.state.E_r - direct.state.E_r, 0.0)
-    agree = np.sqrt(energy_norm_sq(diff, spec)
-                    / energy_norm_sq(direct.state, spec))
+    agree = np.sqrt(functionals(diff, spec).energy_norm_sq
+                    / functionals(direct.state, spec).energy_norm_sq)
     elapsed = time.monotonic() - t0
 
     ok = (neutral.res1 < 1e-6 and neutral.res2 < 1e-6

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qball import fields
 from qball.fields import (
-    FieldState, RadialGrid, ZeroShellChargeError, charge, energy,
-    energy_norm_sq, functionals, gauss_residual, local_ratio, solve_poisson)
+    FieldState, RadialGrid, ZeroShellChargeError, functionals, gauss_residual,
+    local_ratio, solve_poisson)
 from qball.potential import PotentialSpec, default_potential
 
 from conftest import smooth_random_state
@@ -36,33 +36,33 @@ def test_quadrature_of_one(n):
 
 
 def test_energy_zero_state(grid, spec):
-    assert energy(FieldState.zero(grid), spec) == 0.0
+    assert functionals(FieldState.zero(grid), spec).energy == 0.0
 
 
 def test_energy_gaussian_pure_mass(grid):
     st_ = FieldState.zero(grid)
     st_.u = np.exp(-grid.r ** 2)
-    e = energy(st_, PotentialSpec("pure_mass"))
+    e = functionals(st_, PotentialSpec("pure_mass")).energy
     print(e, GAUSSIAN_ENERGY, abs(e / GAUSSIAN_ENERGY - 1))
     assert e == pytest.approx(GAUSSIAN_ENERGY, rel=1e-4)
 
 
-def test_charge_sign_flip_exact(grid, rng):
+def test_charge_sign_flip_exact(grid, spec, rng):
     st_ = smooth_random_state(grid, rng)
-    c1 = charge(st_)
+    c1 = functionals(st_, spec).charge
     st_.theta = -st_.theta
-    assert charge(st_) == -c1
+    assert functionals(st_, spec).charge == -c1
 
 
-def test_charge_zero_state(grid):
-    assert charge(FieldState.zero(grid)) == 0.0
+def test_charge_zero_state(grid, spec):
+    assert functionals(FieldState.zero(grid), spec).charge == 0.0
 
 
 def test_nonfinite_rejected(grid, spec):
     st_ = FieldState.zero(grid)
     st_.u[5] = np.nan
     with pytest.raises(ValueError):
-        energy(st_, spec)
+        functionals(st_, spec)
 
 
 @settings(max_examples=30, deadline=None)
@@ -71,25 +71,26 @@ def test_norm_scales_quadratically(lam):
     g = RadialGrid(20.0, 500)
     state = FieldState.zero(g)
     state.u = np.exp(-g.r)
-    base = energy_norm_sq(state, default_potential())
+    base = functionals(state, default_potential()).energy_norm_sq
     state.u = lam * state.u
-    assert energy_norm_sq(state, default_potential()) == pytest.approx(
+    assert functionals(state, default_potential()).energy_norm_sq == pytest.approx(
         lam * lam * base, rel=1e-12)
 
 
 def test_norm_doubling_exact(grid, rng):
     st_ = smooth_random_state(grid, rng)
     spec = default_potential()
-    base = energy_norm_sq(st_, spec)
+    base = functionals(st_, spec).energy_norm_sq
     st_.u, st_.u_hat = 2.0 * st_.u, 2.0 * st_.u_hat
     st_.theta, st_.Theta, st_.E_r = 2.0 * st_.theta, 2.0 * st_.Theta, 2.0 * st_.E_r
-    assert energy_norm_sq(st_, spec) == 4.0 * base
+    assert functionals(st_, spec).energy_norm_sq == 4.0 * base
 
 
 def test_pure_mass_norm_is_twice_energy(grid, rng):
     st_ = smooth_random_state(grid, rng)
     spec = PotentialSpec("pure_mass")
-    assert energy_norm_sq(st_, spec) == 2.0 * energy(st_, spec)
+    f = functionals(st_, spec)
+    assert f.energy_norm_sq == 2.0 * f.energy
 
 
 def test_functionals_decomposition(grid, rng):
@@ -98,7 +99,8 @@ def test_functionals_decomposition(grid, rng):
     f = functionals(st_, spec)
     mass = 0.5 * spec.m ** 2 * grid.integrate(st_.u ** 2)
     assert f.energy == pytest.approx(f.quadratic + mass + f.nonlinear, rel=1e-10)
-    assert f.charge == pytest.approx(charge(st_), rel=1e-14, abs=1e-300)
+    assert f.charge == pytest.approx(grid.integrate(st_.theta * st_.u),
+                                     rel=1e-14, abs=1e-300)
 
 
 def test_local_ratio_equality_case(grid):
@@ -329,7 +331,7 @@ def test_quadrature_second_order():
         st_ = FieldState.zero(g)
         st_.u = 1.0 / (1.0 + g.r)
         st_.theta = 0.5 / (1.0 + g.r ** 2)
-        vals.append(energy(st_, spec))
+        vals.append(functionals(st_, spec).energy)
     e1, e2, e3 = vals
     order = np.log2(abs(e1 - e2) / abs(e2 - e3))
     print("quadrature order", order, vals)

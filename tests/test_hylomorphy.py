@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qball import hylomorphy
 from qball.fields import FOUR_PI, RadialGrid, functionals, gauss_residual
 from qball.hylomorphy import (
     GridTooSmallError,
@@ -306,6 +307,16 @@ def test_threshold_closed_form_bracket(spec):
     assert estimate_lambda_star(spec, rep.q_ceiling, R_MAX)[0] >= spec.m
     assert rep.bisect_iters == 0
     assert rep.bisect_rel_width <= 1e-12
+    assert rep.q_bar_est == pytest.approx(QBAR_REF, rel=1e-9)
+
+
+def test_threshold_builds_the_ratio_rows_once(spec, monkeypatch):
+    builds = []
+    build = hylomorphy._ratio_coefficients
+    monkeypatch.setattr(hylomorphy, "_ratio_coefficients",
+                        lambda *args: builds.append(args) or build(*args))
+    rep = q_threshold(spec, R_MAX)
+    assert len(builds) == 1
     assert rep.q_bar_est == pytest.approx(QBAR_REF, rel=1e-9)
 
 

@@ -142,6 +142,36 @@ def test_poly46_constants_above_curve_minimum():
     assert spec.w(s_bar) <= 0.5 * alpha ** 2 * s_bar ** 2 * (1 + 1e-9)
 
 
+def test_poly46_witness_is_exact():
+    # alpha(s)^2 = m^2 - a s^2/2 + b s^4/3 bottoms out at s^2 = 3a/(4b)
+    m, a, b = 1.0, 1.0, 0.3
+    spec = PotentialSpec("poly46", m=m, a=a, b=b)
+    s_bar = np.sqrt(3.0 * a / (4.0 * b))
+    alpha = np.sqrt(m * m - 3.0 * a * a / (16.0 * b))
+    rep = check_admissibility(spec)
+    assert rep.s_bar == pytest.approx(s_bar, rel=1e-14)
+    assert rep.alpha == pytest.approx(alpha, rel=1e-14)
+    assert hylomorphy_constants(spec) == pytest.approx((alpha, s_bar), rel=1e-14)
+
+
+@pytest.mark.parametrize("spec", [
+    PotentialSpec("poly46", a=1.0, b=0.3),
+    PotentialSpec("double_well", m=1.5, s_bar=2.0),
+])
+def test_report_and_constants_share_s_bar(spec):
+    assert check_admissibility(spec).s_bar == hylomorphy_constants(spec)[1]
+
+
+def test_positivity_catches_a_dip_between_samples():
+    # a just above sqrt(16 b/3) pushes min W to about -3.2e-6, a dip
+    # narrower than the 2001-point sampling of [0, s_max]
+    b = 0.3
+    rep = check_admissibility(
+        PotentialSpec("poly46", a=np.sqrt(16.0 * b / 3.0) * (1.0 + 1e-6), b=b))
+    assert not rep.positivity
+    assert not rep.admissible
+
+
 # closed forms of W, W', W'' and W'/s per preset, the oracle for the
 # polynomials derived from the coefficient tuple; N and N' follow by
 # subtracting the mass term

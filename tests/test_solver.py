@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qball import solver
-from qball.fields import FieldState, RadialGrid, energy_norm_sq, gauss_residual
+from qball.fields import FieldState, RadialGrid, functionals, gauss_residual
 from qball.hylomorphy import TestStateParams, build_test_state, exact_coulomb_field
 from qball.potential import PotentialSpec
 from qball.solver import (
@@ -89,7 +89,7 @@ def _diff_norm(a, b, spec):
     grid = a.grid
     d = FieldState(grid, a.u - b.u, a.u_hat - b.u_hat, a.theta - b.theta,
                    a.Theta - b.Theta, a.E_r - b.E_r, a.q)
-    return float(np.sqrt(energy_norm_sq(d, spec)))
+    return float(np.sqrt(functionals(d, spec).energy_norm_sq))
 
 
 def test_solve_options_validation():
@@ -347,13 +347,13 @@ def test_flow_agrees_with_direct_after_polish(spec, grid, flow_profile):
     polished = solve_profile(spec, m.omega, FLOW_Q, grid, init_u=m.state.u)
     fresh = solve_profile(spec, m.omega, FLOW_Q, grid)
     rel = _diff_norm(polished.state, fresh.state, spec) \
-        / np.sqrt(energy_norm_sq(fresh.state, spec))
+        / np.sqrt(functionals(fresh.state, spec).energy_norm_sq)
     assert rel < 1e-3
     assert rel < 1e-6
     assert polished.res1 < 1e-6
     # before polish the descent state is already close in energy norm
     rel0 = _diff_norm(m.state, fresh.state, spec) \
-        / np.sqrt(energy_norm_sq(fresh.state, spec))
+        / np.sqrt(functionals(fresh.state, spec).energy_norm_sq)
     assert rel0 < 1e-3
 
 

@@ -3,15 +3,16 @@
 A potential enters the rest of the stack only through scalar callables
 (W, W', W'', N, N', and the regularized quotient W'(s)/s used by the
 complex-field evolution), each a polynomial evaluation.  Four structural
-conditions are certified, positivity and hylomorphy exactly from the
-minimum of the polynomial alpha(s)^2 = 2 W(s)/s^2 on (0, s_max]:
+conditions are certified exactly from the coefficients of W'(s)/s, with
+no sampling, positivity and hylomorphy from the minimum of the
+polynomial alpha(s)^2 = 2 W(s)/s^2 on (0, s_max]:
 
 * positivity:    W(s) >= 0 on [0, s_max],
 * nondegeneracy: W''(0) = m^2, read exactly off the polynomial,
 * hylomorphy:    alpha(s) = sqrt(2 W(s))/s dips below m somewhere, which
   yields witnesses (alpha, s_bar) with W(s_bar) <= alpha^2 s_bar^2 / 2,
-* growth:        |N'(s)| <= a s^(p-1) + b s^(2-2/p) for the declared
-  exponent p, fitted on samples for the smallest feasible a + b.
+* growth:        |N'(s)| <= a s^(p-1) + b s^(2-2/p) on all s > 0 for the
+  declared exponent p, with (a, b) from weighted AM-GM on each monomial.
 
 The hylomorphy witnesses (alpha, s_bar) parametrize the explicit trial
 states and the coupling-threshold search in the ``hylomorphy`` module.
@@ -21,7 +22,6 @@ import dataclasses
 import functools
 
 import numpy as np
-from scipy.optimize import linprog
 
 DEFAULT_ALPHA_MIN = 0.05
 
@@ -135,20 +135,18 @@ class AdmissibilityReport:
     positivity: bool
     nondegenerate: bool
     hylomorphy: bool
-    growth: str                  # "pass", "marginal", or "fail"
+    growth: str                  # "marginal" for p = 6, else "pass"
     s_bar: float | None
     alpha: float | None
-    growth_a: float | None
-    growth_b: float | None
-    small_s_coeff: float         # recorded plain |N'(s)| <= c*s fit near 0
+    growth_a: float              # |N'| <= a s^(p-1) + b s^(2-2/p) on s > 0
+    growth_b: float
+    small_s_coeff: float         # max |N'(s)/s| on (0, 0.1 s_scale]
     s_max: float
-    n_samples: int
 
     @property
     def admissible(self):
-        """check-potential verdict: all conditions hold, growth marginal at worst."""
-        return (self.positivity and self.nondegenerate and self.hylomorphy
-                and self.growth in ("pass", "marginal"))
+        """check-potential verdict: all conditions hold (growth always does)."""
+        return self.positivity and self.nondegenerate and self.hylomorphy
 
     def as_dict(self):
         return dataclasses.asdict(self)
@@ -179,50 +177,45 @@ def check_admissibility(spec):
     potential (flags carry the verdicts).  Positivity is P(s*) >= -1e-12
     and hylomorphy P(s*) < m^2 at the exact minimum of _binding_minimum,
     whose s* is the witness s_bar, with alpha = sqrt(P(s*)) clipped from
-    below at DEFAULT_ALPHA_MIN.  The growth fit and small_s_coeff sample
-    N' at the 2001 points of [0, s_max], s_max = 10 s_scale.
+    below at DEFAULT_ALPHA_MIN.  The growth bound of _growth_constants
+    always exists, so the verdict follows from p: a sextic W tops out
+    exactly at the excluded exponent p = 6 and is "marginal", any other W
+    "pass".  small_s_coeff is the maximum of |N'(s)/s| =
+    |sum_{j>=1} c_j s^j| on (0, h], h = 0.1 s_scale, taken at h or at a
+    real root of its derivative.  Nothing is sampled.
     """
     s_star, p_star = _binding_minimum(spec)
     hylomorphy = p_star < spec.m ** 2
     nondegenerate = bool(abs(spec.wpp(0.0) - spec.m ** 2) <= 1e-6 * spec.m ** 2)
-
-    s_max = 10.0 * spec.s_scale
-    s = np.linspace(0.0, s_max, 2001)
-    sp = s[1:]
-    growth, ga, gb = _fit_growth(spec, sp)
-
-    small = sp[sp <= 0.1 * spec.s_scale]
-    small_s_coeff = float(np.max(np.abs(spec.nprime(small)) / small)) if small.size else 0.0
-
+    ga, gb = _growth_constants(spec)
+    h = 0.1 * spec.s_scale
+    ds = [j * cj for j, cj in enumerate(spec.coeffs)][1:]
+    s = np.append(_real_roots(ds, 0.0, h), h)
     return AdmissibilityReport(
         positivity=p_star >= -1e-12, nondegenerate=nondegenerate,
-        hylomorphy=hylomorphy, growth=growth,
+        hylomorphy=hylomorphy,
+        growth="marginal" if spec.growth_p == 6.0 else "pass",
         s_bar=s_star if hylomorphy else None,
         alpha=(max(float(np.sqrt(max(p_star, 0.0))), DEFAULT_ALPHA_MIN)
                if hylomorphy else None),
-        growth_a=ga, growth_b=gb, small_s_coeff=small_s_coeff,
-        s_max=float(s_max), n_samples=s.size)
+        growth_a=ga, growth_b=gb,
+        small_s_coeff=float(np.max(np.abs(spec.nprime(s)) / s)),
+        s_max=10.0 * spec.s_scale)
 
 
-def _fit_growth(spec, s):
-    """Smallest feasible (a, b) with |N'(s_i)| <= a s_i^(p-1) + b s_i^(2-2/p).
+def _growth_constants(spec):
+    """(a, b) with |N'(s)| <= a s^(p-1) + b s^(2-2/p) for every s > 0.
 
-    Linear program minimizing a + b subject to the sampled inequalities,
-    always feasible for s > 0, so the verdict follows from p: a sextic W
-    tops out exactly at the excluded exponent p = 6 and is "marginal",
-    any other W "pass"; "fail" only reports a linprog failure.
+    N'(s) = sum_{j>=1} c_j s^k with k = j + 1 in [2 - 2/p, p - 1], so
+    weighted AM-GM gives s^k <= t s^(p-1) + (1 - t) s^(2-2/p) with
+    t = (k - 2 + 2/p) / (p - 3 + 2/p) = (p (k - 2) + 2) / ((p - 1)(p - 2)),
+    and a = sum t |c_j|, b = sum (1 - t) |c_j|.
     """
     p = spec.growth_p
-    target = np.abs(spec.nprime(s))
-    if np.max(target) == 0.0:
-        return "pass", 0.0, 0.0
-    basis = np.column_stack([s ** (p - 1.0), s ** (2.0 - 2.0 / p)])
-    res = linprog(c=[1.0, 1.0], A_ub=-basis, b_ub=-target,
-                  bounds=[(0, None), (0, None)], method="highs")
-    if not res.success:
-        return "fail", None, None
-    verdict = "marginal" if p == 6.0 else "pass"
-    return verdict, float(res.x[0]), float(res.x[1])
+    terms = [((p * (j - 1) + 2.0) / ((p - 1.0) * (p - 2.0)), abs(cj))
+             for j, cj in enumerate(spec.coeffs) if j]
+    return (float(sum(t * c for t, c in terms)),
+            float(sum((1.0 - t) * c for t, c in terms)))
 
 
 @functools.cache

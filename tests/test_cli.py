@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from qball import hylomorphy
 from qball.cli import ConfigError, main, parse_config, run
 from qball.dynamics import stability_probe
 from qball.solver import DEFAULT_OMEGA_LIST, solve_profile
@@ -56,7 +57,7 @@ def _small(tmp_path, out_name, extra="", eps_list="0.01", omega_list="0.8"):
 # be a deliberate, recorded decision.
 TINY_DIGESTS = {
     "check-potential/admissibility.txt":
-        "96d5fbb122f697e6c83440d61db8b59e6ab039b3cd1d948c6453d51e038c1f9c",
+        "b41071654f9084eb61e8194f9d360023f8cf18a7837bfa3bed24436bb2ba8339",
     "hylomorphy/hylomorphy.csv":
         "9638b0942754dd164efc959b00768f3891aeec248c21ca016e8246076c3cc70b",
     "hylomorphy/hylomorphy.txt":
@@ -298,6 +299,28 @@ def test_hylomorphy_artifacts(tmp_path):
         assert row[4] in ("hylomorphic", "not-hylomorphic")
     report = _read_kv(tmp_path / "out" / "hylomorphy.txt")
     assert float(report["best_ratio_0"]) < 1.0
+
+
+def test_hylomorphy_builds_the_ratio_rows_once(tmp_path, monkeypatch):
+    builds = []
+    build = hylomorphy._ratio_coefficients
+    monkeypatch.setattr(hylomorphy, "_ratio_coefficients",
+                        lambda *args: builds.append(args) or build(*args))
+    cfg = parse_config(_cfg(tmp_path, f"""
+        [charge]
+        q_range = 0.0, 0.02, 3
+
+        [output]
+        out_dir = {tmp_path / "out"}
+        """))
+    assert run("hylomorphy", cfg) == 0
+    assert len(builds) == 1
+    # the rows are still A_R + q^2 B_R of every coupling, in q order
+    lines = (tmp_path / "out" / "hylomorphy.csv").read_text().splitlines()
+    got = [float(line.split(",")[2]) for line in lines[1:]]
+    want = [ratio for q in cfg.q_values
+            for _, ratio in hylomorphy.ratio_sweep(cfg.spec, q, cfg.r_max)]
+    assert got == want
 
 
 def test_threshold_artifacts(tmp_path):

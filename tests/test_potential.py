@@ -1,9 +1,14 @@
 """Potential evaluation and admissibility certification."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qball
 from qball.potential import (
     AdmissibilityError, PotentialSpec, check_admissibility, default_potential,
     hylomorphy_constants)
@@ -77,11 +82,8 @@ def test_admissibility_default():
     # alpha(s) = |1-s| dips to 0 at s=1; the report clips at the floor
     assert rep.s_bar == pytest.approx(1.0, abs=1e-2)
     assert rep.alpha == pytest.approx(0.05)
-    assert rep.growth_a >= 0 and rep.growth_b >= 0
-    # the fitted bound dominates |N'| on the sampled range it was fit on
-    s = np.linspace(0.0, rep.s_max, rep.n_samples)[1:]
-    bound = rep.growth_a * s ** 3 + rep.growth_b * s ** 1.5
-    assert np.all(np.abs(default_potential().nprime(s)) <= bound * (1 + 1e-6) + 1e-9)
+    # N' = -3 s^2 + 2 s^3 and s^2 <= s^3/3 + 2 s^1.5/3 give (3, 2) exactly
+    assert (rep.growth_a, rep.growth_b) == (3.0, 2.0)
 
 
 def test_admissibility_pure_mass():
@@ -104,6 +106,8 @@ def test_poly46_growth_marginal():
     assert rep.positivity and rep.hylomorphy
     assert rep.growth == "marginal"
     assert rep.admissible
+    # N' = -s^3 + 0.3 s^5 and s^3 <= 0.4 s^5 + 0.6 s^(5/3) at p = 6
+    assert (rep.growth_a, rep.growth_b) == pytest.approx((0.7, 0.6), rel=1e-15)
 
 
 def test_hylomorphy_constants_max_threshold():
@@ -231,3 +235,44 @@ def test_pure_mass_polynomials_are_exact():
 ])
 def test_growth_exponent_is_max_of_four_and_degree(spec, p):
     assert spec.growth_p == p
+
+
+GROWTH_SPECS = [
+    default_potential(),
+    PotentialSpec("double_well", m=1.5, s_bar=2.0),
+    PotentialSpec("poly46", a=1.0, b=0.3),
+    PotentialSpec("poly46", m=0.9, a=1.5, b=0.8),
+]
+
+
+@pytest.mark.parametrize("spec", GROWTH_SPECS)
+def test_growth_bound_holds_on_the_half_line(spec):
+    # the constants come from the coefficients, not from a sampled range,
+    # so the bound holds far outside (0, s_max] as well
+    rep = check_admissibility(spec)
+    p = spec.growth_p
+    s = np.geomspace(1e-6, 1e6, 4001)
+    bound = rep.growth_a * s ** (p - 1.0) + rep.growth_b * s ** (2.0 - 2.0 / p)
+    assert np.all(np.abs(spec.nprime(s)) <= bound)
+
+
+@pytest.mark.parametrize("spec", GROWTH_SPECS + [
+    # |N'(s)/s| = |s^2 - 100 s^4| peaks inside (0, 0.1] at s^2 = 0.005
+    PotentialSpec("poly46", a=-1.0, b=-100.0),
+])
+def test_small_s_coeff_is_the_exact_maximum(spec):
+    h = 0.1 * spec.s_scale
+    s = np.linspace(0.0, h, 200001)[1:]
+    dense = np.max(np.abs(spec.nprime(s)) / s)
+    assert check_admissibility(spec).small_s_coeff == pytest.approx(dense, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # a fresh interpreter that finds the same qball package as this one
+    root = os.path.dirname(os.path.dirname(qball.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    code = "import sys, qball.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -407,14 +407,15 @@ def _run_solve(cfg, stage):
             failures.append((kind, value, q, error))
             continue
         rows.append((q, kind, value, prof.E, prof.C, prof.Lambda,
-                     prof.res1, prof.res2, prof.u0))
+                     prof.res1, prof.res2, prof.u0, prof.newton_iters,
+                     prof.flow_iters))
         name = f"profile_{kind}{value:g}_q{q:g}.txt"
         prof.state.save(os.path.join(stage, name), m=cfg.spec.m,
                         omega=prof.omega,
                         delta=value if kind == "delta" else None)
     _write_csv(os.path.join(stage, "sweep.csv"),
                ("q", "mode", "omega_or_delta", "E", "C", "Lambda",
-                "res1", "res2", "u0"), rows)
+                "res1", "res2", "u0", "newton_iters", "flow_iters"), rows)
     summary = [("n_points", len(results)), ("n_ok", len(rows)),
                ("n_failures", len(failures))]
     for i, (kind, value, q, reason) in enumerate(failures):

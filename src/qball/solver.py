@@ -33,7 +33,7 @@ from .potential import _real_roots
 DEFAULT_OMEGA_LIST = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 SCAN_SIZE = 64          # shooting candidates per pass
 SCAN_PASSES = 6
-COARSEN = 4             # cold solves shoot on every COARSEN-th node
+COARSEN = 16            # cold solves shoot on every COARSEN-th node
 BRACKET_LO = 0.1        # initial u(0) bracket, in units of spec.s_scale
 BRACKET_HI = 10.0
 MAX_NEWTON = 60
@@ -232,16 +232,17 @@ def _march(spec, omega, grid, u0_vec, record=False):
             u4 = u + dr * v3
             v4 = v + dr * k3v
             k4v = spec.wp(u4) - om * u4 - 2.0 * v4 / r[i + 1]
-            active = status == 0
-            u = np.where(active, u + dr * (k1u + 2.0 * v2 + 2.0 * v3 + v4) / 6.0, u)
-            v = np.where(active, v + dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0, v)
+            # a classified candidate never changes status, so its trajectory
+            # need not be frozen; errstate silences its overflow
+            u = u + dr * (k1u + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+            v = v + dr * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
             fresh = status == 0
             status[fresh & (u < 0.0)] = 2
             status[fresh & (v > 0.0) & (u > 0.0)] = 1
             if record:
                 traj_u[i + 1] = u
                 traj_v[i + 1] = v
-            if not np.any(status == 0):
+            if status.all():
                 break
     if record:
         return status, traj_u, traj_v

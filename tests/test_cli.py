@@ -1,5 +1,6 @@
 """Config parsing, subcommand artifacts, determinism, failure records."""
 
+import csv
 import hashlib
 import os
 import textwrap
@@ -65,23 +66,23 @@ TINY_DIGESTS = {
     "threshold/threshold.txt":
         "3f5dffab54b95980c0ec7bd2afd068ec3611d0b1edb6f15444b6c678be4d4172",
     "solve/profile_omega0.7_q0.01.txt":
-        "5eb502dab7fd0de0c42c30ce34a6395bdf6eb7cd26fa7a1c9d2b12678e483a84",
+        "0991a47f6c753fc2644e9f3be9f998d1cdd6bd7586a6576766c8e1e3c507a066",
     "solve/profile_omega0.8_q0.01.txt":
-        "87a613c9c0de1359a10b6956e78c578ef6013268d4c9ae0285e13652cb65c452",
+        "cf27a2ce0370bf06c31cdc5557db864167264f770ec791618a6fb1474c0902c5",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
-        "4bf4c3d1fb380ce58f6b4d6087ccf0c10ed9c48a0179985fb28a4dd5210bf327",
+        "6e3720491d6503e1f01eb3743fffd5fbad98b7e49fd456e60b76adca851232cb",
     "evolve/evolve.txt":
-        "323de78559a58c3851b6b9621cbd635b87950d51e2eb6514fc7b76deaf6d5860",
+        "67ca24be999a94bada10b7d152694020b4dad616b728e5c42415f2fc0f0e7eb0",
     "evolve/trace_amplitude_eps0.01.csv":
-        "357a31f75081b47bfad7cf77eb7c9ccbd86468fe9bece4d87dd3c229db969967",
+        "319c0b87eb963de34dc03763e95773bd0b6ea001f6ecf39ceba9af742f82b265",
     "evolve/trace_noise_eps0.01.csv":
-        "015d7afbb06f0e93f0654b78a3e0a692c543d9e5ff7755eece0c846dea06c414",
+        "b0f920745dd3d3c01fa03c46c02f1b96068b424f20d8782bc933cd52dc7a3178",
     "evolve/trace_unperturbed.csv":
-        "7c7e1a8b90802c775538dd189cc4cfaea1f31aefc6113e00547bc57d8ad6389e",
+        "b2ad37b4c6c5ef673d288a8858acb818d7917bc4e37a2611a0a999df5537e8f8",
     "evolve/trace_velocity_eps0.01.csv":
-        "c6a461b44d1ac6bb29b535fbd2b5d925b845e955ec1b0c028f4a4e75f69c8e09",
+        "ce7d76a7232a3fc82f5dd580d828426b446f081ea27bac8332132eeb6789e05d",
 }
 
 
@@ -372,10 +373,17 @@ def test_solve_descent_route(tmp_path):
         out_dir = {tmp_path / "out"}
         """)
     assert run("solve", parse_config(path)) == 0
-    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    modes = {line.split(",")[1] for line in lines[1:]}
-    assert modes == {"omega", "delta"}
+    with open(tmp_path / "out" / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert {row["mode"] for row in rows} == {"omega", "delta"}
     assert (tmp_path / "out" / "profile_delta0.0002_q0.001.txt").exists()
+    # every point ends in the coupled Newton; only the descent point flows
+    for row in rows:
+        assert int(row["newton_iters"]) >= 1
+        if row["mode"] == "delta":
+            assert int(row["flow_iters"]) >= 1
+        else:
+            assert row["flow_iters"] == "none"
 
 
 def test_evolve_artifacts(tmp_path):

@@ -227,8 +227,15 @@ def test_charged_profile_reference(charged_profile, neutral_profile):
     assert p.u0 > neutral_profile.u0
 
 
-@pytest.mark.parametrize("q", [0.0, CHARGED_Q])
-@pytest.mark.parametrize("omega", [0.5, 0.8, 0.95])
+@pytest.mark.parametrize("spec, omega, q", [
+    *[pytest.param(PotentialSpec("double_well"), omega, q, id=f"{omega}-{q}")
+      for omega in (0.5, 0.8, 0.95) for q in (0.0, CHARGED_Q)],
+    # poly46 leaves out (omega, q) = (0.7, 0) and (0.8, 0.02): the
+    # continuation step from omega - 0.05 fails to converge there
+    *[pytest.param(PotentialSpec("poly46", a=1.0, b=0.3), omega, q,
+                   id=f"poly46-{omega}-{q}")
+      for omega, q in ((0.8, 0.0), (0.95, 0.0), (0.95, CHARGED_Q))],
+])
 def test_cold_solve_is_seed_independent(spec, grid, omega, q):
     # the coarse-grid seed and the fine-grid shoot polish to one profile
     phi = np.zeros(grid.n)

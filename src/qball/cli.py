@@ -23,8 +23,8 @@ import numpy as np
 
 from .potential import (PRESET_KEYS, PotentialSpec, check_admissibility,
                         hylomorphy_constants)
-from . import hylomorphy
-from .hylomorphy import q_threshold, ratio_bound
+from .hylomorphy import (calibrate_constants, estimate_lambda_star,
+                         q_threshold, ratio_bound, ratio_sweep)
 from .fields import RadialGrid, fan_out
 from .solver import DEFAULT_OMEGA_LIST, SolveOptions, family_sweep, solve_profile
 from .dynamics import (CFL_LIMIT, PERTURBATION_MODES, TRACE_COLUMNS, max_dt,
@@ -347,16 +347,13 @@ def _run_check_potential(cfg, stage):
 
 def _run_hylomorphy(cfg, stage):
     alpha, s_bar = hylomorphy_constants(cfg.spec)
-    # ratio rows A_R, B_R do not depend on q: build them once per call
-    coeffs = hylomorphy._ratio_coefficients(cfg.spec, cfg.r_max)
-    c1, c6 = hylomorphy._calibrate(alpha, s_bar, coeffs)
+    c1, c6 = calibrate_constants(cfg.spec, cfg.r_max)
     rows = []
     report = [("m", cfg.spec.m), ("alpha", alpha), ("s_bar", s_bar),
               ("c1", c1), ("c6", c6)]
     for i, q in enumerate(cfg.q_values):
-        sweep = [(R, a + q * q * b) for R, a, b in coeffs]
-        best_R, best = min(sweep, key=lambda t: t[1])
-        for R, ratio in sweep:
+        best, best_R = estimate_lambda_star(cfg.spec, q, cfg.r_max)
+        for R, ratio in ratio_sweep(cfg.spec, q, cfg.r_max):
             bound = ratio_bound(alpha, s_bar, q, R, c1, c6)
             verdict = ("hylomorphic" if ratio < cfg.spec.m
                        else "not-hylomorphic")

@@ -106,8 +106,8 @@ def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard,
     q2 = q * q
     phi = phi_prev
     for _ in range(picard):
-        phi, dphi = solve(src - q2 * phi * mod2, grid)
-    return phi, -dphi
+        phi, e_r = solve(src - q2 * phi * mod2, grid)
+    return phi, e_r
 
 
 def constrain(state):

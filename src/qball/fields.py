@@ -14,7 +14,9 @@ with the regularized row 6 (f_1 - f_0)/dr^2 at the origin and a zero
 Dirichlet ghost beyond r_max.  The Poisson solve integrates Gauss's law
 in cumulative form instead of inverting a stencil; the divergence used
 by gauss_residual applies the exact inverse of that construction, so a
-solved field has residual at roundoff level by design.
+solved field has residual at roundoff level by design.  The Gauss-law
+helpers take and return the field E_r = -phi' that a state stores, in
+program units: E_r = Q(r)/r^2 with Q = int_0^r source v^2 dv, no 4 pi.
 """
 
 import dataclasses
@@ -78,11 +80,17 @@ class RadialGrid:
         self.cell_vol = np.empty(self.n)
         self.cell_vol[0] = FOUR_PI * (0.5 * self.dr) ** 3 / 3.0
         self.cell_vol[1:] = FOUR_PI * (r3[1:] - r3[:-1]) / 3.0
+        # w with the axis cell volume at r = 0 and no half weight at r_max:
+        # diag(wt) laplacian is symmetric, so -(wt u) . laplacian(u) is the
+        # Dirichlet form int |grad u|^2 4 pi r^2 dr of the flux stencil
+        self.wt = self.w.copy()
+        self.wt[0] = self.cell_vol[0]
+        self.wt[-1] = 2.0 * self.wt[-1]
         # absorbing-sponge rate: a quintic ramp over the outer SPONGE_FRACTION
         r_start = (1.0 - SPONGE_FRACTION) * self.r_max
         x = np.clip((self.r - r_start) / (self.r_max - r_start), 0.0, 1.0)
         self.sponge = SPONGE_SIGMA * x ** 5
-        for a in (self.r2, self.dr2_r2, self.sponge):
+        for a in (self.r2, self.dr2_r2, self.wt, self.sponge):
             a.flags.writeable = False
         self._sponge_dt = None
 
@@ -124,28 +132,6 @@ class RadialGrid:
             self._sponge_dt = dt
         return self._sponge
 
-    def dirichlet_energy(self, u):
-        """Face-based int |grad u|^2 4 pi r^2 dr with a zero ghost at r_max.
-
-        This quadratic form and dirichlet_grad are exact adjoints of each
-        other; the descent flow uses them so its gradient is the true
-        derivative of its objective.
-        """
-        d = np.diff(u) / self.dr
-        inner = FOUR_PI * self.dr * float(self._rp2[:-1] @ (d * d))
-        outer = FOUR_PI * self.dr * self._rp2[-1] * (u[-1] / self.dr) ** 2
-        return inner + outer
-
-    def dirichlet_grad(self, u):
-        """Exact partials d/du_i of dirichlet_energy(u)."""
-        g = np.zeros_like(u)
-        d = np.diff(u) / self.dr
-        flux = FOUR_PI * self._rp2[:-1] * d / self.dr * self.dr
-        g[:-1] -= 2.0 * flux
-        g[1:] += 2.0 * flux
-        g[-1] += 2.0 * FOUR_PI * self._rp2[-1] * u[-1] / self.dr
-        return g
-
 
 @dataclasses.dataclass
 class FieldState:
@@ -180,7 +166,7 @@ class FieldState:
             header["omega"] = omega
         if delta is not None:
             header["delta"] = delta
-        phi = potential_from_field(-self.E_r, self.grid)
+        phi = potential_from_field(self.E_r, self.grid)
         cols = dict(zip(PROFILE_COLUMNS,
                         (self.grid.r, self.u, self.u_hat, self.theta,
                          self.Theta, self.E_r, phi)))
@@ -289,10 +275,10 @@ def _integrate_inward(e, phi_out, grid):
 def solve_poisson(source, grid):
     """Solve (1/r^2)(r^2 phi')' = -source, phi'(0) = 0, Coulomb tail at r_max.
 
-    Returns (phi, dphi).  The field E = -phi' is obtained by integrating
+    Returns (phi, E_r).  The field E_r = -phi' is obtained by integrating
     the source (Gauss's law in integral form), which makes the discrete
     divergence of gauss_residual vanish identically on the result; phi
-    follows by integrating -E inward from phi(r_max) = Q(r_max)/r_max,
+    follows by integrating -E_r inward from phi(r_max) = Q(r_max)/r_max,
     which satisfies the Robin condition phi'(r_max) = -phi(r_max)/r_max
     exactly.
     """
@@ -309,12 +295,12 @@ def solve_poisson(source, grid):
 def gauss_potential(source, grid):
     """solve_poisson without its shape and decay checks, for hot loops."""
     q_cum, e = gauss_field(source, grid)
-    return _integrate_inward(e, q_cum[-1] / grid.r_max, grid), -e
+    return _integrate_inward(e, q_cum[-1] / grid.r_max, grid), e
 
 
-def potential_from_field(dphi, grid):
-    """Integrate phi' = dphi inward with the Coulomb value at r_max."""
-    e = -np.asarray(dphi, dtype=float)
+def potential_from_field(e_r, grid):
+    """Integrate phi' = -e_r inward with the Coulomb value at r_max."""
+    e = np.asarray(e_r, dtype=float)
     return _integrate_inward(e, e[-1] * grid.r_max, grid)
 
 

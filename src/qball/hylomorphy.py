@@ -7,7 +7,9 @@ potential.hylomorphy_constants and the radii from DEFAULT_R_LIST capped
 at r_max - 1, so every sweep takes only (spec, q, r_max).  Its integrals
 are closed-form, with no grid: plateau terms are monomials in R, ramp
 terms 8-point Gauss-Legendre sums, and the exterior field adds
-Q(R+1)^2/(R+1).  The Coulomb field is linear in q, so the ratio is
+Q(R+1)^2/(R+1).  The Coulomb field and energy are in program units, as
+the Gauss-law helpers of fields: E_r = q alpha Q(r)/r^2 and
+(1/2) int E_r^2 4 pi r^2 dr.  The field is linear in q, so the ratio is
 exactly E/|C| = A_R + q^2 B_R, and it obeys
 
     E/|C| <= alpha + c1/(alpha R) + c6 q^2 alpha s_bar^2 R^2,
@@ -22,6 +24,7 @@ same state on a grid, as a descent start.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -96,8 +99,7 @@ def build_test_state(p, grid):
     state.theta = theta
     if p.q != 0.0:
         # div E = -q theta u, so the Poisson source is -q alpha u^2
-        phi, dphi = solve_poisson(-p.q * theta * u, grid)
-        state.E_r = -dphi
+        _, state.E_r = solve_poisson(-p.q * theta * u, grid)
     return state
 
 
@@ -122,21 +124,20 @@ def _enclosed(p, r):
 
 
 def exact_coulomb_field(p, r):
-    """|grad phi|(r) of the trial state, as 4 pi q alpha Q(r) / r^2.
+    """|E_r|(r) = q alpha Q(r) / r^2 of the trial state.
 
-    Inside the plateau this is exactly (4/3) pi q alpha s_bar^2 r; across
-    the ramp the remaining quartic integral is evaluated by quadrature.
+    Inside the plateau this is exactly q alpha s_bar^2 r / 3; across the
+    ramp the remaining quartic integral is evaluated by quadrature.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     out = np.zeros_like(r)
     inside = r <= p.R
-    out[inside] = FOUR_PI / 3.0 * p.q * p.alpha * p.s_bar ** 2 * r[inside]
+    out[inside] = p.q * p.alpha * p.s_bar ** 2 * r[inside] / 3.0
     rest = ~inside
     if np.any(rest):
-        cel = FOUR_PI * p.q * p.alpha * _enclosed(p, r[rest])
-        out[rest] = cel / r[rest] ** 2
+        out[rest] = p.q * p.alpha * _enclosed(p, r[rest]) / r[rest] ** 2
     return float(out[0]) if scalar else out
 
 
@@ -153,12 +154,12 @@ def _coulomb_integral(p):
 
 
 def coulomb_energy(p):
-    """int |grad phi|^2 4 pi r^2 dr of the trial state, in the 4 pi field convention.
+    """(1/2) int E_r^2 4 pi r^2 dr of the trial state, exterior included.
 
     With the field of exact_coulomb_field this is
-    (4 pi)^3 (q alpha)^2 int_0^inf Q^2/r^2 dr, exterior included.
+    2 pi (q alpha)^2 int_0^inf Q^2/r^2 dr.
     """
-    return FOUR_PI ** 3 * (p.q * p.alpha) ** 2 * _coulomb_integral(p)
+    return 0.5 * FOUR_PI * (p.q * p.alpha) ** 2 * _coulomb_integral(p)
 
 
 def ratio_bound(alpha, s_bar, q, R, c1, c6):
@@ -170,9 +171,8 @@ def _trial_functionals(spec, p):
     """(E at q = 0, C, Coulomb energy per q^2) of the trial state p.
 
     E = 4 pi int (alpha^2 u^2/2 + u'^2/2 + W(u)) r^2 dr and
-    C = 4 pi alpha int u^2 r^2 dr; the Coulomb energy
-    (1/2) int E_r^2 4 pi r^2 dr with E_r = q alpha Q/r^2 is
-    2 pi (q alpha)^2 int Q^2/r^2 dr.
+    C = 4 pi alpha int u^2 r^2 dr; the Coulomb energy per q^2 is
+    coulomb_energy at q = 1.
     """
     R, s_bar, alpha = p.R, p.s_bar, p.alpha
     mass = float(_enclosed(p, R + 1.0))
@@ -181,14 +181,16 @@ def _trial_functionals(spec, p):
         lambda v: spec.w(s_bar * (R + 1.0 - v)) * v * v, R, R + 1.0)
     energy = FOUR_PI * (0.5 * alpha ** 2 * mass + 0.5 * grad + float(pot))
     return (energy, FOUR_PI * alpha * mass,
-            0.5 * FOUR_PI * alpha ** 2 * _coulomb_integral(p))
+            coulomb_energy(dataclasses.replace(p, q=1.0)))
 
 
+@functools.cache
 def _ratio_coefficients(spec, r_max):
-    """[(R, A_R, B_R)] with E/|C| = A_R + q^2 B_R for each trial radius.
+    """((R, A_R, B_R), ...) with E/|C| = A_R + q^2 B_R for each trial radius.
 
     The witnesses come from hylomorphy_constants(spec) and the radii
-    from DEFAULT_R_LIST capped at r_max - 1.
+    from DEFAULT_R_LIST capped at r_max - 1.  Memoized: the rows do not
+    depend on q.
     """
     alpha, s_bar = hylomorphy_constants(spec)
     radii = sorted({min(R, r_max - 1.0) for R in DEFAULT_R_LIST})
@@ -199,7 +201,7 @@ def _ratio_coefficients(spec, r_max):
         energy, charge, coulomb = _trial_functionals(
             spec, TestStateParams(s_bar, alpha, R))
         rows.append((R, energy / charge, coulomb / charge))
-    return rows
+    return tuple(rows)
 
 
 def ratio_sweep(spec, q, r_max):
@@ -207,25 +209,12 @@ def ratio_sweep(spec, q, r_max):
     return [(R, a + q * q * b) for R, a, b in _ratio_coefficients(spec, r_max)]
 
 
-def _lowest(rows, q):
-    """(min_R A_R + q^2 B_R, that R); rows run in R, so a tie keeps the first."""
-    return min((a + q * q * b, R) for R, a, b in rows)
-
-
 def estimate_lambda_star(spec, q, r_max):
-    """Best (smallest) trial ratio over the R sweep: an upper bound on Lambda*."""
-    return _lowest(_ratio_coefficients(spec, r_max), q)
+    """(min_R ratio, that R) over ratio_sweep: an upper bound on Lambda*.
 
-
-def _calibrate(alpha, s_bar, rows):
-    """(c1, c6) of calibrate_constants from the rows of _ratio_coefficients."""
-    c1 = max(alpha * R * (a - alpha) for R, a, _ in rows)
-    c6 = 0.0
-    for q in filter(None, CALIBRATION_Q):    # q = 0 holds by c1 alone
-        for R, a, b in rows:
-            excess = a + q * q * b - alpha - c1 / (alpha * R)
-            c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))
-    return c1, c6
+    The sweep runs in R, so a tie keeps the first radius.
+    """
+    return min((ratio, R) for R, ratio in ratio_sweep(spec, q, r_max))
 
 
 def calibrate_constants(spec, r_max):
@@ -236,7 +225,15 @@ def calibrate_constants(spec, r_max):
     CALIBRATION_Q.  By construction every sweep point satisfies
     ratio <= bound.
     """
-    return _calibrate(*hylomorphy_constants(spec), _ratio_coefficients(spec, r_max))
+    alpha, s_bar = hylomorphy_constants(spec)
+    rows = _ratio_coefficients(spec, r_max)
+    c1 = max(alpha * R * (a - alpha) for R, a, _ in rows)
+    c6 = 0.0
+    for q in filter(None, CALIBRATION_Q):    # q = 0 holds by c1 alone
+        for R, a, b in rows:
+            excess = a + q * q * b - alpha - c1 / (alpha * R)
+            c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))
+    return c1, c6
 
 
 def q_threshold(spec, r_max):
@@ -247,12 +244,11 @@ def q_threshold(spec, r_max):
     bracket q_bar_est < q_bar < q_ceiling is verified by direct
     evaluation on both sides, with the calibrated (c1, c6) and the
     analytic threshold scale (c/s_bar) sqrt((m-alpha)^3 alpha) with
-    c = 1/(c1 sqrt(8 c6)).  The ratio rows are built once per call.
+    c = 1/(c1 sqrt(8 c6)).  The ratio rows are built once per (spec, r_max).
     """
     alpha, s_bar = hylomorphy_constants(spec)
-    rows = _ratio_coefficients(spec, r_max)
-    c1, c6 = _calibrate(alpha, s_bar, rows)
-    _, a, b = np.array(rows).T
+    c1, c6 = calibrate_constants(spec, r_max)
+    _, a, b = np.array(_ratio_coefficients(spec, r_max)).T
     if not a.min() < spec.m:
         raise InconsistentSetupError(
             f"trial ratio {a.min():.6g} is not below m even at q = 0")
@@ -263,8 +259,8 @@ def q_threshold(spec, r_max):
     # above the roundoff of the sweep (its slope in q_bar is 2 (m - A_R))
     eps = THRESHOLD_MARGIN * spec.m / (2.0 * (spec.m - a[k]))
     q_lo, q_hi = q_bar * (1.0 - eps), q_bar * (1.0 + eps)
-    ratio, best_R = _lowest(rows, q_lo)
-    ceiling, _ = _lowest(rows, q_hi)
+    ratio, best_R = estimate_lambda_star(spec, q_lo, r_max)
+    ceiling, _ = estimate_lambda_star(spec, q_hi, r_max)
     if not ratio < spec.m <= ceiling:
         raise InconsistentSetupError(
             f"closed-form threshold {q_bar:.17g} is not confirmed by the sweep")

@@ -39,6 +39,8 @@ BRACKET_HI = 10.0
 MAX_NEWTON = 60
 TAIL_WARN = 1e-8        # warn when u(r_max - dr) exceeds this times u(0)
 FLOW_TOL = 1e-12        # relative J decrease considered stalled
+NEWTON_TOL = 1e-7       # the coupled Newton stops one step past this
+CHARGE_FLOOR = 1e-8     # relative |C| below which the descent aborts
 
 
 class ConvergenceError(RuntimeError):
@@ -53,13 +55,11 @@ class ChargeCollapseError(RuntimeError):
 class SolveOptions:
     """The ``[solver]`` config keys; the other solver limits are constants."""
     tol: float = 1e-6            # residual target for the coupled system
-    newton_tol: float = 1e-7     # Newton stops one step past this
     flow_max_iter: int = 6000
     flow_res_tol: float = 5e-5   # field-equation residual target for descent
-    charge_floor: float = 1e-8   # |C| below this aborts the descent
 
     def __post_init__(self):
-        if self.tol <= 0 or self.newton_tol <= 0:
+        if self.tol <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -249,27 +249,32 @@ def _march(spec, omega, grid, u0_vec, record=False):
     return status
 
 
-def newton_polish(spec, omega, q, grid, u, phi, opts=None, history=None):
+def newton_polish(spec, omega, q, grid, u, phi, history=None):
     """Drive the discrete pair (u, phi) to tolerance from a nearby guess.
 
     One Newton on both equations; the unknowns interleave as [u_0, phi_0,
     u_1, phi_1, ...], so the Jacobian is banded (2, 2).  One step follows
-    the first iterate whose residuals both meet newton_tol, so the result
+    the first iterate whose residuals both meet NEWTON_TOL, so the result
     forgets the guess to roundoff; if the line search finds no decrease
     at that floor, the iterate is kept.  Returns (u, phi, res1, res2) and
-    appends to history the (res1, res2) each step started from.
+    appends to history the (res1, res2) each step started from.  A failure
+    names the step and the residuals it started from.
     """
-    opts = opts or SolveOptions()
     lower, diag, upper = grid.lap_bands
     # LAPACK band storage, A[i, j] at ab[4 + i - j, j]: rows 0-1 take the
     # LU fill, and the row u[-1] = 0 has no off-diagonal entries
     ab = np.zeros((7, 2 * grid.n), order="F")
     x = np.column_stack((u, phi)).astype(float).ravel()
+
+    def failure(what):
+        return ConvergenceError(
+            f"{what} at step {k}, res1={res1:.6g} res2={res2:.6g}")
+
     F = _residual(spec, omega, q, grid, x[0::2], x[1::2])
     extra = True
-    for _ in range(MAX_NEWTON):
+    for k in range(MAX_NEWTON):
         res1, res2 = np.sqrt(grid.w @ F ** 2)
-        met = max(res1, res2) < opts.newton_tol
+        met = max(res1, res2) < NEWTON_TOL
         if met and not extra:
             break
         u, phi = x[0::2], x[1::2]
@@ -288,7 +293,7 @@ def newton_polish(spec, omega, q, grid, u, phi, opts=None, history=None):
         *_, step, info = dgbsv(2, 2, ab, -F.ravel(), overwrite_ab=True,
                                overwrite_b=True)
         if info:
-            raise ConvergenceError("singular Newton matrix")
+            raise failure("singular Newton matrix")
         merit = np.vdot(F, F)
         t = 1.0
         for _ in range(20):
@@ -300,13 +305,13 @@ def newton_polish(spec, omega, q, grid, u, phi, opts=None, history=None):
         else:
             if met:
                 break
-            raise ConvergenceError("profile refinement stalled in line search")
+            raise failure("profile refinement stalled in line search")
         x, F = xn, Fn
         extra = extra and not met
         if history is not None:
             history.append((res1, res2))
     else:
-        raise ConvergenceError("profile refinement did not reach tolerance")
+        raise failure("profile refinement did not reach tolerance")
     return x[0::2].copy(), x[1::2].copy(), res1, res2
 
 
@@ -331,7 +336,7 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
     A cold solve shoots on a grid COARSEN times coarser and interpolates
     onto the caller's grid; an initial u may be given instead to
     warm-start continuation sweeps.  Either way phi starts at zero and
-    newton_polish takes both one step past newton_tol, so the profile
+    newton_polish takes both one step past NEWTON_TOL, so the profile
     forgets its start to roundoff.  Both residuals must pass tol.
     """
     opts = opts or SolveOptions()
@@ -345,7 +350,7 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
                       shoot_u_given_phi(spec, omega, coarse))
     steps = []
     u, phi, res1, res2 = newton_polish(spec, omega, q, grid, u,
-                                       np.zeros(grid.n), opts, history=steps)
+                                       np.zeros(grid.n), history=steps)
     if max(res1, res2) >= opts.tol:
         raise ConvergenceError(f"residuals res1={res1:.6g} res2={res2:.6g} "
                                f"not below tol={opts.tol:g}")
@@ -368,7 +373,7 @@ def _flow_energy(spec, q, grid, u, theta):
     if q != 0.0:
         _, e_field = gauss_field(-q * theta * u, grid)
     energy = 0.5 * np.dot(w, theta * theta) \
-        + 0.5 * grid.dirichlet_energy(u) \
+        - 0.5 * np.dot(grid.wt * u, grid.laplacian(u)) \
         + np.dot(w, spec.w(u)) \
         + 0.5 * np.dot(w, e_field * e_field)
     charge = np.dot(w, theta * u)
@@ -383,7 +388,7 @@ def _j_grad(spec, q, grid, delta, u, theta, energy, charge, e_field):
     of C are w theta and w u.
     """
     w = grid.w
-    de_u = 0.5 * grid.dirichlet_grad(u) + w * spec.wp(u)
+    de_u = w * spec.wp(u) - grid.wt * grid.laplacian(u)
     de_th = w * theta
     if q != 0.0:
         g_q = np.zeros(grid.n)
@@ -418,8 +423,7 @@ def flow_state(spec, q, grid, u, theta):
     theta = np.array(theta, dtype=float)
     e_r = np.zeros(grid.n)
     if q != 0.0:
-        _, dphi = solve_poisson(-q * theta * u, grid)
-        e_r = -dphi
+        _, e_r = solve_poisson(-q * theta * u, grid)
     return FieldState(grid=grid, u=u, u_hat=np.zeros(grid.n), theta=theta,
                       Theta=np.zeros(grid.n), E_r=e_r, q=q)
 
@@ -475,18 +479,16 @@ def minimize_J(spec, q, delta, init, opts=None):
         theta = -theta
 
     # mass-form preconditioner diag(wt) (-lap + m^2), symmetric positive
-    # definite once the axis node carries its cell volume as weight
+    # definite since the axis node carries its cell volume as weight
     lower, diag, upper = grid.lap_bands
-    wt = grid.w.copy()
-    wt[0] = grid.cell_vol[0]
-    wt[-1] = 2.0 * wt[-1]
+    wt = grid.wt
     m_low = wt * (-lower)
     m_diag = wt * (-diag + spec.m ** 2)
     m_up = wt * (-upper)
 
     energy, charge, e_field = _flow_energy(spec, q, grid, u, theta)
     cost = energy / charge + delta * energy * energy
-    floor = opts.charge_floor * charge
+    floor = CHARGE_FLOOR * charge
     step = 1.0
     iters = 0
     stopped = False
@@ -549,7 +551,7 @@ def minimize_J(spec, q, delta, init, opts=None):
 
 def _fit_omega(q, grid, u, theta, e_field):
     """Multiplier from theta = (omega + q phi) u on the positive branch."""
-    phi_pos = potential_from_field(-e_field, grid)
+    phi_pos = potential_from_field(e_field, grid)
     w = grid.w
     num = np.dot(w, u * (theta - q * phi_pos * u))
     den = np.dot(w, u * u)

@@ -88,8 +88,8 @@ def test_criterion_01_pointwise_ratio_bound(spec):
 
         u, u_hat, theta, Theta = field(), field(), field(), field()
         q = rng.uniform(0.0, 0.05)
-        _, dphi = solve_poisson(-q * theta * u, g)
-        st = FieldState(g, u, u_hat, theta, Theta, -dphi, q)
+        _, e_r = solve_poisson(-q * theta * u, g)
+        st = FieldState(g, u, u_hat, theta, Theta, e_r, q)
         lo = rng.uniform(0.0, 14.0)
         hi = lo + rng.uniform(0.5, 5.0)
         try:

@@ -141,6 +141,17 @@ def test_parse_unknown_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key", ["newton_tol", "charge_floor"])
+def test_parse_rejects_solver_constants(tmp_path, key):
+    # solver.NEWTON_TOL and solver.CHARGE_FLOOR are constants, not keys
+    path = _cfg(tmp_path, f"""
+        [solver]
+        {key} = 1e-7
+        """)
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(path)
+
+
 def test_parse_error_carries_line(tmp_path):
     path = _cfg(tmp_path, """
         [grid]
@@ -302,11 +313,8 @@ def test_hylomorphy_artifacts(tmp_path):
     assert float(report["best_ratio_0"]) < 1.0
 
 
-def test_hylomorphy_builds_the_ratio_rows_once(tmp_path, monkeypatch):
-    builds = []
-    build = hylomorphy._ratio_coefficients
-    monkeypatch.setattr(hylomorphy, "_ratio_coefficients",
-                        lambda *args: builds.append(args) or build(*args))
+def test_hylomorphy_builds_the_ratio_rows_once(tmp_path):
+    hylomorphy._ratio_coefficients.cache_clear()
     cfg = parse_config(_cfg(tmp_path, f"""
         [charge]
         q_range = 0.0, 0.02, 3
@@ -315,7 +323,7 @@ def test_hylomorphy_builds_the_ratio_rows_once(tmp_path, monkeypatch):
         out_dir = {tmp_path / "out"}
         """))
     assert run("hylomorphy", cfg) == 0
-    assert len(builds) == 1
+    assert hylomorphy._ratio_coefficients.cache_info().misses == 1
     # the rows are still A_R + q^2 B_R of every coupling, in q order
     lines = (tmp_path / "out" / "hylomorphy.csv").read_text().splitlines()
     got = [float(line.split(",")[2]) for line in lines[1:]]

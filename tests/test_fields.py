@@ -141,27 +141,27 @@ def test_local_ratio_empty_shell_errors(grid, spec):
 # ---- Poisson ----
 
 def test_poisson_zero_source(grid):
-    phi, dphi = solve_poisson(np.zeros(grid.n), grid)
-    assert np.all(phi == 0.0) and np.all(dphi == 0.0)
+    phi, e_r = solve_poisson(np.zeros(grid.n), grid)
+    assert np.all(phi == 0.0) and np.all(e_r == 0.0)
 
 
 def test_poisson_uniform_ball(grid):
     rho0, R = 2.0, 5.0
     source = np.where(grid.r <= R, rho0, 0.0)
-    phi, dphi = solve_poisson(source, grid)
+    phi, e_r = solve_poisson(source, grid)
     inside = (grid.r > 0) & (grid.r <= R)
     outside = grid.r > R + grid.dr
-    # |phi'| = rho0 r / 3 inside (exact by construction), rho0 R^3/(3 r^2) outside
-    assert np.allclose(-dphi[inside], rho0 * grid.r[inside] / 3.0, rtol=1e-12)
-    assert np.allclose(-dphi[outside], rho0 * R ** 3 / (3 * grid.r[outside] ** 2),
+    # E_r = rho0 r / 3 inside (exact by construction), rho0 R^3/(3 r^2) outside
+    assert np.allclose(e_r[inside], rho0 * grid.r[inside] / 3.0, rtol=1e-12)
+    assert np.allclose(e_r[outside], rho0 * R ** 3 / (3 * grid.r[outside] ** 2),
                        rtol=1e-2)
     # the field of a positive source points outward: phi decreasing
-    assert np.all(dphi[1:] < 0)
+    assert np.all(e_r[1:] > 0)
 
 
 def test_poisson_gaussian_vs_closed_form():
     g = RadialGrid(16.0, 16001)
-    phi, dphi = solve_poisson(np.exp(-g.r ** 2), g)
+    phi, _ = solve_poisson(np.exp(-g.r ** 2), g)
     for r0, want in ERF_PHI.items():
         got = phi[int(round(r0 / g.dr))]
         print(r0, got, want, abs(got / want - 1))
@@ -170,8 +170,9 @@ def test_poisson_gaussian_vs_closed_form():
 
 def test_poisson_robin_tail(grid, rng):
     source = np.exp(-grid.r ** 2 / 4) * (1 + 0.3 * np.sin(grid.r))
-    phi, dphi = solve_poisson(source, grid)
-    assert dphi[-1] == pytest.approx(-phi[-1] / grid.r_max, rel=1e-13)
+    phi, e_r = solve_poisson(source, grid)
+    # phi' = -E_r = -phi/r at r_max
+    assert e_r[-1] == pytest.approx(phi[-1] / grid.r_max, rel=1e-13)
 
 
 def test_poisson_warns_on_nondecaying_source(grid):
@@ -197,9 +198,9 @@ def test_gauss_after_poisson_solve(grid):
     q = 0.7
     u = np.exp(-grid.r ** 2 / 8)
     theta = np.exp(-grid.r ** 2 / 4) * (1 + 0.3 * np.sin(grid.r))
-    phi, dphi = solve_poisson(-q * theta * u, grid)
+    _, e_r = solve_poisson(-q * theta * u, grid)
     st_ = FieldState(grid, u, np.zeros_like(u), theta, np.zeros_like(u),
-                     -dphi, q)
+                     e_r, q)
     res = gauss_residual(st_)
     scale = np.sqrt(grid.integrate((q * theta * u) ** 2))
     print(res, scale)
@@ -258,21 +259,31 @@ def test_sponge_is_a_read_only_outer_ramp(grid):
         grid.sponge[-1] = 0.0
 
 
+def _dirichlet(grid, u):
+    """The descent's Dirichlet form -(wt u) . laplacian(u)."""
+    return -float((grid.wt * u) @ grid.laplacian(u))
+
+
 def test_dirichlet_energy_matches_integral(grid):
     u = np.exp(-grid.r ** 2 / 4)
     byweights = grid.integrate(grid.d_dr(u) ** 2)
-    byfaces = grid.dirichlet_energy(u)
-    assert byfaces == pytest.approx(byweights, rel=1e-4)
+    assert _dirichlet(grid, u) == pytest.approx(byweights, rel=1e-4)
+    with pytest.raises(ValueError):
+        grid.wt[0] = 0.0
 
 
 def test_dirichlet_grad_is_exact_derivative(grid, rng):
+    # -2 wt laplacian(u) is the exact gradient: diag(wt) laplacian is symmetric
     u = np.exp(-grid.r ** 2 / 4) * (1 + 0.2 * np.sin(grid.r))
     v = smooth_random_state(grid, rng).u
     h = 1e-6
-    fd = (grid.dirichlet_energy(u + h * v) - grid.dirichlet_energy(u - h * v)) / (2 * h)
-    an = float(grid.dirichlet_grad(u) @ v)
+    fd = (_dirichlet(grid, u + h * v) - _dirichlet(grid, u - h * v)) / (2 * h)
+    an = float(-2.0 * (grid.wt * grid.laplacian(u)) @ v)
     print(fd, an)
     assert an == pytest.approx(fd, rel=1e-8)
+    lower, _, upper = grid.lap_bands
+    assert np.allclose(grid.wt[:-1] * upper[:-1], grid.wt[1:] * lower[1:],
+                       rtol=1e-14, atol=0.0)
 
 
 # ---- serialization ----

@@ -112,7 +112,7 @@ def test_interior_field_matches_closed_form(grid):
     p = TestStateParams(s_bar=1.0, alpha=0.25, R=10.0, q=0.01)
     state = build_test_state(p, grid)
     mask = (grid.r > 0) & (grid.r <= p.R)
-    expected = exact_coulomb_field(p, grid.r[mask]) / FOUR_PI
+    expected = exact_coulomb_field(p, grid.r[mask])
     rel = np.abs(np.abs(state.E_r[mask]) - expected) / expected
     assert np.max(rel) < 1e-6
 
@@ -154,8 +154,10 @@ def test_energy_terms(grid, spec):
 
 def test_coulomb_field_plateau_exact():
     p = TestStateParams(s_bar=1.0, alpha=0.25, R=10.0, q=0.01)
-    expected = FOUR_PI / 3.0 * p.q * p.alpha * p.s_bar ** 2 * 3.0
-    assert exact_coulomb_field(p, 3.0) == pytest.approx(expected, rel=1e-14)
+    # q alpha Q(r)/r^2 with Q = s_bar^2 r^3/3 inside the plateau
+    r = 3.0
+    expected = p.q * p.alpha * p.s_bar ** 2 * r / 3.0
+    assert exact_coulomb_field(p, r) == pytest.approx(expected, rel=1e-14)
     assert exact_coulomb_field(p, 0.0) == 0.0
     neutral = TestStateParams(s_bar=1.0, alpha=0.25, R=10.0, q=0.0)
     assert not np.any(exact_coulomb_field(neutral, np.linspace(0, 30, 7)))
@@ -164,7 +166,7 @@ def test_coulomb_field_plateau_exact():
 def test_coulomb_field_outer_shape():
     p = TestStateParams(s_bar=1.0, alpha=0.25, R=10.0, q=0.01)
     r_out = 2.0 * (p.R + 1.0)
-    cap = FOUR_PI / 3.0 * p.q * p.alpha * p.s_bar ** 2 * (p.R + 1.0) ** 3 / r_out ** 2
+    cap = p.q * p.alpha * p.s_bar ** 2 * (p.R + 1.0) ** 3 / (3.0 * r_out ** 2)
     assert exact_coulomb_field(p, r_out) < cap
     lo = exact_coulomb_field(p, p.R - 1e-9)
     hi = exact_coulomb_field(p, p.R + 1e-9)
@@ -181,7 +183,10 @@ def test_coulomb_energy_scaling():
     for R in radii:
         p = TestStateParams(s_bar=1.0, alpha=0.25, R=R, q=0.01)
         e = coulomb_energy(p)
-        assert e == pytest.approx(COUL_ENERGY[R], rel=1e-9)
+        # COUL_ENERGY holds int |grad phi|^2 4 pi r^2 dr with a 4 pi
+        # field, 2 (4 pi)^2 times the energy (1/2) int E_r^2 4 pi r^2 dr
+        assert e == pytest.approx(COUL_ENERGY[R] / (2.0 * FOUR_PI ** 2),
+                                  rel=1e-9)
         values.append(e)
     logs_r = np.log(radii)
     logs_e = np.log(values)
@@ -235,9 +240,8 @@ def test_closed_form_matches_quadrature(spec, R):
     got = _trial_functionals(spec, p)
     want = _quad_functionals(spec, p)
     assert got == pytest.approx(want, rel=1e-12)
-    # coulomb_energy is the same integral in the 4 pi field convention
-    scale = 2.0 * FOUR_PI ** 2 * p.q ** 2
-    assert coulomb_energy(p) == pytest.approx(scale * want[2], rel=1e-12)
+    # coulomb_energy is the same energy at coupling q
+    assert coulomb_energy(p) == pytest.approx(p.q ** 2 * want[2], rel=1e-12)
 
 
 def test_ratio_sweep_reference_values(spec):
@@ -310,13 +314,10 @@ def test_threshold_closed_form_bracket(spec):
     assert rep.q_bar_est == pytest.approx(QBAR_REF, rel=1e-9)
 
 
-def test_threshold_builds_the_ratio_rows_once(spec, monkeypatch):
-    builds = []
-    build = hylomorphy._ratio_coefficients
-    monkeypatch.setattr(hylomorphy, "_ratio_coefficients",
-                        lambda *args: builds.append(args) or build(*args))
+def test_threshold_builds_the_ratio_rows_once(spec):
+    hylomorphy._ratio_coefficients.cache_clear()
     rep = q_threshold(spec, R_MAX)
-    assert len(builds) == 1
+    assert hylomorphy._ratio_coefficients.cache_info().misses == 1
     assert rep.q_bar_est == pytest.approx(QBAR_REF, rel=1e-9)
 
 

@@ -32,8 +32,6 @@ from qball.solver import (
     solve_profile,
 )
 
-FOUR_PI = 4.0 * np.pi
-
 # separatrix u(0) of the neutral profile equation at omega = 0.8,
 # from adaptive continuum integration with bisection to 1e-12
 CONTINUUM_U0 = 0.5307916267822679
@@ -110,7 +108,7 @@ def test_phi_solver_matches_ball_potential(spec, grid):
     st = build_test_state(p, grid)
     phi = solve_phi_given_u(st.u, 0.25, 1e-6, grid)
     e_num = -grid.d_dr(phi)
-    e_ref = exact_coulomb_field(p, grid.r) / FOUR_PI
+    e_ref = exact_coulomb_field(p, grid.r)
     interior = (grid.r > 1.0) & (grid.r < 35.0)
     scale = np.max(np.abs(e_ref))
     assert np.max(np.abs(e_num[interior] - e_ref[interior])) < 1e-4 * scale
@@ -193,11 +191,10 @@ def test_omega_domain_errors(spec, grid):
 
 
 def test_newton_certificate(spec, grid):
-    opts = SolveOptions()
     phi = np.zeros(grid.n)
     u = shoot_u_given_phi(spec, 0.8, grid)
-    u_ref, _, gnorm, _ = newton_polish(spec, 0.8, 0.0, grid, u, phi, opts)
-    assert gnorm <= opts.newton_tol
+    u_ref, _, gnorm, _ = newton_polish(spec, 0.8, 0.0, grid, u, phi)
+    assert gnorm <= solver.NEWTON_TOL
     assert abs(u_ref[0] - u[0]) < 2e-5
 
 
@@ -283,21 +280,29 @@ def test_coarse_grid_keeps_the_node_floor(spec, monkeypatch):
 def test_extra_step_at_the_roundoff_floor(spec, omega):
     # a converged profile admits no merit decrease; the polish keeps it
     grid = RadialGrid(20.0, 600)
-    opts = SolveOptions()
     prof = solve_profile(spec, omega, 0.0, grid)
     u, _, res, _ = newton_polish(spec, omega, 0.0, grid, prof.state.u,
-                                 prof.phi, opts)
-    assert res < opts.newton_tol
+                                 prof.phi)
+    assert res < solver.NEWTON_TOL
     assert np.max(np.abs(u - prof.state.u)) < 1e-12
 
 
+def test_newton_failure_names_its_step():
+    # poly46 on 20/600 at q = 0.02, omega = 0.7 stalls on a plateau far
+    # from a root; the error carries the step and the residuals there
+    spec46 = PotentialSpec("poly46", a=1.0, b=0.3)
+    with pytest.raises(ConvergenceError,
+                       match=r"stalled in line search at step \d+, res1="):
+        solve_profile(spec46, 0.7, 0.02, RadialGrid(20.0, 600))
+
+
 def test_line_search_floor_keeps_the_iterate(spec, grid, neutral_profile):
-    # from the omega = 0.85 profile, the step taken past newton_tol finds
+    # from the omega = 0.85 profile, the step taken past NEWTON_TOL finds
     # no merit decrease at the roundoff floor; the polish keeps the
     # iterate there instead of failing the solve
     start = solve_profile(spec, 0.85, 0.0, grid)
     warm = solve_profile(spec, 0.8, 0.0, grid, init_u=start.state.u)
-    assert warm.res1 < SolveOptions().newton_tol
+    assert warm.res1 < solver.NEWTON_TOL
     assert np.max(np.abs(warm.state.u - neutral_profile.state.u)) <= 1e-12
 
 
@@ -385,11 +390,11 @@ def test_flow_rejects_bad_initial_states(spec, grid, flow_seed):
         minimize_J(spec, FLOW_Q, -1e-3, flow_seed)
 
 
-def test_flow_charge_floor_collapse(spec, grid, flow_seed):
+def test_flow_charge_floor_collapse(spec, grid, flow_seed, monkeypatch):
     # a floor above the initial charge blocks every step immediately
-    opts = SolveOptions(charge_floor=2.0)
+    monkeypatch.setattr(solver, "CHARGE_FLOOR", 2.0)
     with pytest.raises(ChargeCollapseError):
-        minimize_J(spec, FLOW_Q, FLOW_DELTA, flow_seed, opts=opts)
+        minimize_J(spec, FLOW_Q, FLOW_DELTA, flow_seed)
 
 
 def test_flow_gradient_matches_finite_differences(spec, grid, flow_seed, rng):

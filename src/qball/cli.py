@@ -440,8 +440,11 @@ def _run_evolve(cfg, stage):
             raise r.failure
 
     runs = sorted(report.runs, key=lambda r: r.name)
+    unperturbed = next(r for r in runs if r.mode is None)
     summary = [("q", q), ("omega", omega), ("T", cfg.T),
-               ("n_runs", len(runs))]
+               ("n_runs", len(runs)), ("profile_norm", report.profile_norm),
+               ("unperturbed_rel_distance",
+                unperturbed.max_distance / report.profile_norm)]
     for r in runs:
         cols = r.trace.columns()
         rows = zip(*(cols[k] for k in TRACE_COLUMNS))

@@ -364,31 +364,33 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
 
 
 def _flow_energy(spec, q, grid, u, theta):
-    """Energy, charge, and the Gauss-law field E_r used by the descent.
+    """Energy, charge, the Gauss-law field E_r and the Laplacian of u.
 
-    Returns (E, C, e_field); _j_grad needs e_field for the exact adjoint.
+    Returns (E, C, e_field, lap); _j_grad needs e_field for the exact
+    adjoint and lap for the Dirichlet term.
     """
     w = grid.w
     e_field = np.zeros(grid.n)
     if q != 0.0:
         _, e_field = gauss_field(-q * theta * u, grid)
+    lap = grid.laplacian(u)
     energy = 0.5 * np.dot(w, theta * theta) \
-        - 0.5 * np.dot(grid.wt * u, grid.laplacian(u)) \
+        - 0.5 * np.dot(grid.wt * u, lap) \
         + np.dot(w, spec.w(u)) \
         + 0.5 * np.dot(w, e_field * e_field)
     charge = np.dot(w, theta * u)
-    return energy, charge, e_field
+    return energy, charge, e_field, lap
 
 
-def _j_grad(spec, q, grid, delta, u, theta, energy, charge, e_field):
+def _j_grad(spec, q, grid, delta, u, theta, energy, charge, e_field, lap):
     """Euclidean gradient (g_u, g_theta) of J = E/|C| + delta E^2.
 
-    energy, charge and e_field are _flow_energy at (u, theta).  The
+    energy, charge, e_field and lap are _flow_energy at (u, theta).  The
     partials of E carry the exact adjoint of the Gauss-law field; those
     of C are w theta and w u.
     """
     w = grid.w
-    de_u = w * spec.wp(u) - grid.wt * grid.laplacian(u)
+    de_u = w * spec.wp(u) - grid.wt * lap
     de_th = w * theta
     if q != 0.0:
         g_q = np.zeros(grid.n)
@@ -407,10 +409,10 @@ def j_functional(spec, q, grid, delta, u, theta):
     The gradient pairs with plain dot products, so a centered finite
     difference of the value along any direction should reproduce it.
     """
-    energy, charge, e_field = _flow_energy(spec, q, grid, u, theta)
+    energy, charge, e_field, lap = _flow_energy(spec, q, grid, u, theta)
     cost = energy / abs(charge) + delta * energy * energy
     return (cost, *_j_grad(spec, q, grid, delta, u, theta,
-                           energy, charge, e_field))
+                           energy, charge, e_field, lap))
 
 
 def flow_state(spec, q, grid, u, theta):
@@ -486,7 +488,7 @@ def minimize_J(spec, q, delta, init, opts=None):
     m_diag = wt * (-diag + spec.m ** 2)
     m_up = wt * (-upper)
 
-    energy, charge, e_field = _flow_energy(spec, q, grid, u, theta)
+    energy, charge, e_field, lap = _flow_energy(spec, q, grid, u, theta)
     cost = energy / charge + delta * energy * energy
     floor = CHARGE_FLOOR * charge
     step = 1.0
@@ -495,7 +497,7 @@ def minimize_J(spec, q, delta, init, opts=None):
     for iters in range(1, opts.flow_max_iter + 1):
         # the charge stays positive here, so this is J's gradient as is
         g_u, g_th = _j_grad(spec, q, grid, delta, u, theta,
-                            energy, charge, e_field)
+                            energy, charge, e_field, lap)
         dir_u = -_banded_solve(m_low, m_diag, m_up, g_u)
         dir_u[-1] = 0.0
         dir_th = -g_th / wt
@@ -505,7 +507,7 @@ def minimize_J(spec, q, delta, init, opts=None):
         for _ in range(20):
             un = u + t * dir_u
             thn = theta + t * dir_th
-            en, cn, fn = _flow_energy(spec, q, grid, un, thn)
+            en, cn, fn, lapn = _flow_energy(spec, q, grid, un, thn)
             if cn < floor:
                 hit_floor = True
                 t *= 0.5
@@ -523,7 +525,8 @@ def minimize_J(spec, q, delta, init, opts=None):
             raise ConvergenceError(
                 "line search could not reduce J after 20 halvings")
         stalled = cost - cost_n < FLOW_TOL * (1.0 + abs(cost_n))
-        u, theta, energy, charge, e_field, cost = un, thn, en, cn, fn, cost_n
+        u, theta, cost = un, thn, cost_n
+        energy, charge, e_field, lap = en, cn, fn, lapn
         step = min(2.0 * t, 64.0)
         if iters % 25 == 0 or stalled:
             omega_fit, phi_pos = _fit_omega(q, grid, u, theta, e_field)

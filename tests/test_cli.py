@@ -74,15 +74,15 @@ TINY_DIGESTS = {
     "solve/sweep.csv":
         "6e3720491d6503e1f01eb3743fffd5fbad98b7e49fd456e60b76adca851232cb",
     "evolve/evolve.txt":
-        "67ca24be999a94bada10b7d152694020b4dad616b728e5c42415f2fc0f0e7eb0",
+        "a4e9c5838d966ea2b6d0889f789525b231eb0d2eae857aa72c2996b43611d090",
     "evolve/trace_amplitude_eps0.01.csv":
-        "319c0b87eb963de34dc03763e95773bd0b6ea001f6ecf39ceba9af742f82b265",
+        "8ea9f4305b665c36be1848d20fc6f96434d48b60fe2793fe52325e205abe2eb3",
     "evolve/trace_noise_eps0.01.csv":
-        "b0f920745dd3d3c01fa03c46c02f1b96068b424f20d8782bc933cd52dc7a3178",
+        "38e6a9952eba9c45c3473b91d111c417e464a4a06047a4c3f8bb583c72f5f388",
     "evolve/trace_unperturbed.csv":
-        "b2ad37b4c6c5ef673d288a8858acb818d7917bc4e37a2611a0a999df5537e8f8",
+        "ab33b38700e95b29899ee75adffcbb2e9d5cce44f88e1734a1a8369c8bf58b06",
     "evolve/trace_velocity_eps0.01.csv":
-        "ce7d76a7232a3fc82f5dd580d828426b446f081ea27bac8332132eeb6789e05d",
+        "2a52a8f94d4d20087c15325f7a4443ea5e956dd4a21859dca35bce4d43227866",
 }
 
 
@@ -414,6 +414,11 @@ def test_evolve_report_is_the_probe_report(tmp_path):
     report = stability_probe(prof, cfg.spec, (0.0,) + cfg.eps_list, cfg.T,
                              cfg.dt, cfg.sample_every, cfg.modes, cfg.seed)
     assert written["n_runs"] == str(len(report.runs))
+    assert float(written["profile_norm"]) == report.profile_norm
+    unperturbed = report.runs[0]
+    assert unperturbed.mode is None
+    assert float(written["unperturbed_rel_distance"]) \
+        == unperturbed.max_distance / report.profile_norm
     for r in report.runs:
         assert float(written[f"{r.name}_max_distance"]) == r.max_distance
         assert float(written[f"{r.name}_ratio"]) == r.max_ratio

@@ -30,10 +30,6 @@ from .solver import DEFAULT_OMEGA_LIST, SolveOptions, family_sweep, solve_profil
 from .dynamics import (CFL_LIMIT, PERTURBATION_MODES, TRACE_COLUMNS, max_dt,
                        stability_probe)
 
-SUBCOMMANDS = ("check-potential", "hylomorphy", "solve", "evolve",
-               "threshold", "all")
-
-
 class ConfigError(ValueError):
     """Raised for unparsable or invalid configuration input."""
 
@@ -466,9 +462,8 @@ _DISPATCH = {
     "solve": [("solver", "solve_profile", _run_solve)],
     "evolve": [("dynamics", "stability_probe", _run_evolve)],
 }
-_DISPATCH["all"] = (_DISPATCH["check-potential"] + _DISPATCH["hylomorphy"]
-                    + _DISPATCH["threshold"] + _DISPATCH["solve"]
-                    + _DISPATCH["evolve"])
+_DISPATCH["all"] = [stage for stages in _DISPATCH.values() for stage in stages]
+SUBCOMMANDS = tuple(_DISPATCH)
 
 
 def run(subcommand, config):
@@ -512,15 +507,13 @@ def main(argv=None):
         description="Charged scalar soliton laboratory: admissibility "
                     "checks, binding-ratio estimates, stationary profiles, "
                     "and evolution probes on a radial grid.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True,
-                       help="path to a key=value run configuration")
-        p.add_argument("--out", dest="out_dir",
-                       help="output directory (overrides config)")
-        p.add_argument("--workers", help="worker processes (overrides config)")
-        p.add_argument("--seed", help="noise seed (overrides config)")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True,
+                        help="path to a key=value run configuration")
+    parser.add_argument("--out", dest="out_dir",
+                        help="output directory (overrides config)")
+    parser.add_argument("--workers", help="worker processes (overrides config)")
+    parser.add_argument("--seed", help="noise seed (overrides config)")
     args = parser.parse_args(argv)
     try:
         pairs, lines = _read_pairs(args.config)

@@ -22,8 +22,7 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgttrf, dgttrs
 
 from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
                      functionals, gauss_field, gauss_residual,
@@ -103,20 +102,23 @@ def _screened_system(u, omega, q, grid):
     return a_low, a_diag, a_up, rhs
 
 
-def _banded_solve(a_low, a_diag, a_up, rhs):
-    n = a_diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = a_up[:-1]
-    ab[1] = a_diag
-    ab[2, :-1] = a_low[1:]
-    return solve_banded((1, 1), ab, rhs)
+def _tridiagonal_lu(a_low, a_diag, a_up):
+    """solve(rhs) for the matrix with rows (a_low[i], a_diag[i], a_up[i]),
+    factored once; a_low[0] and a_up[-1] fall outside the matrix."""
+    *factors, info = dgttrf(a_low[1:], a_diag, a_up[:-1])
+    if info != 0:
+        raise ConvergenceError(f"singular tridiagonal matrix (info={info})")
+    return lambda rhs: dgttrs(*factors, rhs)[0]
 
 
 def solve_phi_given_u(u, omega, q, grid):
     """Electrostatic potential of a frozen profile; zero coupling gives zero."""
     if q == 0.0:
         return np.zeros(grid.n)
-    return _banded_solve(*_screened_system(u, omega, q, grid))
+    a_low, a_diag, a_up, rhs = _screened_system(u, omega, q, grid)
+    if not (np.isfinite(a_diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("screened system has non-finite entries")
+    return _tridiagonal_lu(a_low, a_diag, a_up)(rhs)
 
 
 def _residual(spec, omega, q, grid, u, phi):
@@ -415,7 +417,7 @@ def j_functional(spec, q, grid, delta, u, theta):
                            energy, charge, e_field, lap))
 
 
-def flow_state(spec, q, grid, u, theta):
+def flow_state(q, grid, u, theta):
     """Package a reduced pair (u, theta) as a Gauss-consistent state.
 
     The electric field is rebuilt from the charge density -q theta u,
@@ -434,7 +436,7 @@ def descent_seed(spec, q, grid):
     """Smooth charged bump used as the default start for the descent."""
     u = spec.s_bar * np.exp(-(grid.r / 8.0) ** 2)
     u[-1] = 0.0
-    return flow_state(spec, q, grid, u, 0.7 * spec.m * u)
+    return flow_state(q, grid, u, 0.7 * spec.m * u)
 
 
 def minimize_J(spec, q, delta, init, opts=None):
@@ -484,9 +486,8 @@ def minimize_J(spec, q, delta, init, opts=None):
     # definite since the axis node carries its cell volume as weight
     lower, diag, upper = grid.lap_bands
     wt = grid.wt
-    m_low = wt * (-lower)
-    m_diag = wt * (-diag + spec.m ** 2)
-    m_up = wt * (-upper)
+    precondition = _tridiagonal_lu(wt * (-lower), wt * (-diag + spec.m ** 2),
+                                   wt * (-upper))
 
     energy, charge, e_field, lap = _flow_energy(spec, q, grid, u, theta)
     cost = energy / charge + delta * energy * energy
@@ -498,7 +499,7 @@ def minimize_J(spec, q, delta, init, opts=None):
         # the charge stays positive here, so this is J's gradient as is
         g_u, g_th = _j_grad(spec, q, grid, delta, u, theta,
                             energy, charge, e_field, lap)
-        dir_u = -_banded_solve(m_low, m_diag, m_up, g_u)
+        dir_u = -precondition(g_u)
         dir_u[-1] = 0.0
         dir_th = -g_th / wt
         t = step
@@ -625,6 +626,6 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
         if parameter == "omega":
             prev = prof.state.u
         else:
-            prev = flow_state(spec, q, grid, prof.state.u, -prof.state.theta)
+            prev = flow_state(q, grid, prof.state.u, -prof.state.theta)
     return FamilySweepResult(parameter=parameter, values=values,
                              profiles=profiles, failures=failures, q=q)

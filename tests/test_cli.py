@@ -580,3 +580,32 @@ def test_main_rejects_bad_config(tmp_path):
         """)
     assert main(["solve", "--config", path]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_usage_errors_exit_2_before_any_output(tmp_path):
+    path, out = _small(tmp_path, "out"), str(tmp_path / "usage")
+    for argv in (["nosuch", "--config", path, "--out", out],
+                 ["threshold", "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not (tmp_path / "usage").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_options_may_precede_the_subcommand(tmp_path):
+    path = _small(tmp_path, "unused")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--config", path, "--out", str(first), "threshold"]) == 0
+    assert main(["threshold", "--config", path, "--out", str(second)]) == 0
+    assert ((first / "threshold.txt").read_bytes()
+            == (second / "threshold.txt").read_bytes())
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # in the README's order
+    assert ("{check-potential,hylomorphy,threshold,solve,evolve,all}"
+            in capsys.readouterr().out)

@@ -95,6 +95,31 @@ def test_solve_options_validation():
         SolveOptions(tol=-1e-6)
 
 
+def test_tridiagonal_lu_rejects_a_singular_band():
+    bands = (np.ones(5), np.array([1.0, 2.0, 0.0, 2.0, 1.0]), np.zeros(5))
+    with pytest.raises(ConvergenceError, match="singular"):
+        solver._tridiagonal_lu(*bands)
+
+
+def test_tridiagonal_lu_solves_repeatedly():
+    rng = np.random.default_rng(3)
+    a_low, a_up = rng.standard_normal(8), rng.standard_normal(8)
+    a_diag = 4.0 + rng.standard_normal(8)
+    dense = (np.diag(a_diag) + np.diag(a_low[1:], -1)
+             + np.diag(a_up[:-1], 1))
+    solve = solver._tridiagonal_lu(a_low, a_diag, a_up)
+    for _ in range(3):
+        rhs = rng.standard_normal(8)
+        assert np.allclose(dense @ solve(rhs), rhs, rtol=0, atol=1e-12)
+
+
+def test_phi_solver_rejects_a_non_finite_profile(grid):
+    u = np.exp(-grid.r ** 2)
+    u[7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_phi_given_u(u, 0.8, 0.02, grid)
+
+
 def test_phi_solver_neutral_is_zero(grid):
     u = np.exp(-grid.r ** 2)
     phi = solve_phi_given_u(u, 0.8, 0.0, grid)
@@ -371,7 +396,7 @@ def test_flow_agrees_with_direct_after_polish(spec, grid, flow_profile):
 
 def test_flow_branch_symmetry(spec, grid, flow_seed, flow_profile):
     # starting from the opposite charge branch lands on the same profile
-    mirrored = flow_state(spec, FLOW_Q, grid, flow_seed.u, -flow_seed.theta)
+    mirrored = flow_state(FLOW_Q, grid, flow_seed.u, -flow_seed.theta)
     m2 = minimize_J(spec, FLOW_Q, FLOW_DELTA, mirrored)
     assert abs(m2.E - flow_profile.E) < 1e-9 * flow_profile.E
     assert abs(m2.omega - flow_profile.omega) < 1e-9

@@ -83,30 +83,42 @@ def _floats(text):
     return tuple(float(t) for t in toks)
 
 
+def _sweep(text):
+    """Floats of a sweep list, which _validate checks as one."""
+    return _floats(text)
+
+
 def _strings(text):
     return tuple(t for t in re.split(r"[,\s]+", text.strip()) if t)
 
 
-# (section, key) -> converter; None means keep the raw string
+_POSITIVE, _NONNEGATIVE = (0, True), (0, False)
+
+# (section, key) -> (converter, default, bound).  The bound is a lower
+# limit (value, strict) on every number of the key, or None.
 _SCHEMA = {
-    ("potential", "preset"): str,
-    **{("potential", k): float for keys in PRESET_KEYS.values() for k in keys},
-    ("grid", "r_max"): float,
-    ("grid", "n"): int,
-    ("charge", "q"): float,
-    ("charge", "q_range"): _floats,
-    ("solver", "omega_list"): _floats,
-    ("solver", "delta_list"): _floats,
-    # every SolveOptions field is a [solver] key of its own type
-    **{("solver", f.name): f.type for f in dataclasses.fields(SolveOptions)},
-    ("dynamics", "T"): float,
-    ("dynamics", "dt"): float,
-    ("dynamics", "eps_list"): _floats,
-    ("dynamics", "modes"): _strings,
-    ("dynamics", "sample_every"): int,
-    ("output", "out_dir"): str,
-    ("output", "workers"): int,
-    ("output", "seed"): int,
+    ("potential", "preset"): (str, "double_well", None),
+    ("potential", "m"): (float, 1.0, _POSITIVE),
+    ("potential", "s_bar"): (float, 1.0, None),
+    ("potential", "a"): (float, 0.0, None),
+    ("potential", "b"): (float, 0.0, None),
+    ("grid", "r_max"): (float, 40.0, _POSITIVE),
+    ("grid", "n"): (int, 4000, (16, False)),
+    ("charge", "q"): (float, 0.0, _NONNEGATIVE),
+    ("charge", "q_range"): (_floats, None, _NONNEGATIVE),
+    ("solver", "omega_list"): (_sweep, DEFAULT_OMEGA_LIST, _POSITIVE),
+    ("solver", "delta_list"): (_sweep, (), _POSITIVE),
+    ("solver", "tol"): (float, 1e-6, _POSITIVE),
+    ("solver", "flow_max_iter"): (int, 6000, (1, False)),
+    ("solver", "flow_res_tol"): (float, 5e-5, _POSITIVE),
+    ("dynamics", "T"): (float, 50.0, _POSITIVE),
+    ("dynamics", "dt"): (float, None, _POSITIVE),
+    ("dynamics", "eps_list"): (_sweep, (0.0, 0.01), _NONNEGATIVE),
+    ("dynamics", "modes"): (_strings, PERTURBATION_MODES, None),
+    ("dynamics", "sample_every"): (int, 10, (1, False)),
+    ("output", "out_dir"): (str, "qball-out", None),
+    ("output", "workers"): (int, 1, (1, False)),
+    ("output", "seed"): (int, 0, _NONNEGATIVE),
 }
 
 _SECTIONS = {s for s, _ in _SCHEMA}
@@ -157,147 +169,93 @@ def parse_config(path):
     return _validate(*_read_pairs(path))
 
 
+def _distinct_names(key, values, line):
+    # profile and trace files are named by {v:g}; equal names overwrite
+    if len({f"{v:g}" for v in values}) < len(values):
+        raise ConfigError(f"{key}: values must differ in their first six "
+                          "significant digits", line)
+
+
 def _validate(pairs, lines):
-    """RunConfig from {(section, key): raw text} and the keys' line numbers."""
-    values = {}
-    for sk, raw in pairs.items():
-        conv = _SCHEMA[sk]
+    """RunConfig from {(section, key): raw text} and the keys' line numbers:
+    one pass over _SCHEMA, then the rules that span keys."""
+    v = {}
+    lines = {key: n for (_, key), n in lines.items()}    # keys are unique
+    for (section, key), (conv, default, bound) in _SCHEMA.items():
+        raw, line = pairs.get((section, key)), lines.get(key)
+        if raw is None:
+            v[key] = default
+            continue
         try:
-            values[sk] = conv(raw)
+            v[key] = conv(raw)
         except ValueError:
-            raise ConfigError(
-                f"{sk[1]}: cannot parse {raw!r} as {conv.__name__}",
-                lines.get(sk)) from None
-        # the range checks below compare with < and <=, which nan passes
-        if conv in (float, _floats) and not np.all(np.isfinite(values[sk])):
-            raise ConfigError(f"{sk[1]}: must be finite, got {raw!r}",
-                              lines.get(sk))
+            raise ConfigError(f"{key}: cannot parse {raw!r} as "
+                              f"{conv.__name__}", line) from None
+        nums = v[key] if isinstance(v[key], tuple) else (v[key],)
+        # the bounds compare with < and <=, which nan passes
+        if conv in (float, _floats, _sweep) and not np.all(np.isfinite(nums)):
+            raise ConfigError(f"{key}: must be finite, got {raw!r}", line)
+        if bound is not None:
+            lo, strict = bound
+            if any(x <= lo if strict else x < lo for x in nums):
+                raise ConfigError(f"{key}: must be {'>' if strict else '>='} "
+                                  f"{lo:g}", line)
+        if conv is _sweep:
+            if default and not nums:    # only delta_list may be empty
+                raise ConfigError(f"{key}: must not be empty", line)
+            if list(nums) != sorted(set(nums)):
+                raise ConfigError(f"{key}: must be strictly increasing", line)
+            _distinct_names(key, nums, line)
 
-    def get(section, key, default):
-        return values.get((section, key), default)
-
-    def distinct_names(section, key, vals):
-        # profile and trace files are named by {v:g}; equal names overwrite
-        if len({f"{v:g}" for v in vals}) < len(vals):
-            raise ConfigError(f"{key}: values must differ in their first six "
-                              "significant digits", lines.get((section, key)))
-
-    potential = {k: v for (sec, k), v in values.items() if sec == "potential"}
+    potential = {key: v[key] for s, key in _SCHEMA if s == "potential"}
     try:
-        spec = PotentialSpec(potential.pop("preset", "double_well"), **potential)
+        spec = PotentialSpec(potential.pop("preset"), **potential)
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
-    unread = sorted(potential.keys() - set(PRESET_KEYS[spec.name]))
-    if unread:
-        raise ConfigError(f"{unread[0]}: preset {spec.name} does not read "
-                          "this key", lines[("potential", unread[0])])
+    for s, key in pairs:
+        if s == "potential" and key not in ("preset", *PRESET_KEYS[spec.name]):
+            raise ConfigError(f"{key}: preset {spec.name} does not read this "
+                              "key", lines[key])
 
-    r_max = get("grid", "r_max", 40.0)
-    n = get("grid", "n", 4000)
-    if r_max <= 0:
-        raise ConfigError("r_max: must be positive")
-    if n < 16:
-        raise ConfigError("n: need at least 16 grid points")
-
-    if ("charge", "q") in values and ("charge", "q_range") in values:
-        raise ConfigError("q and q_range are mutually exclusive")
-    if ("charge", "q_range") in values:
-        rng = values[("charge", "q_range")]
+    q_values = (v["q"],)
+    if v["q_range"] is not None:
+        rng, line = v["q_range"], lines.get("q_range")
+        if ("charge", "q") in pairs:
+            raise ConfigError("q and q_range are mutually exclusive", line)
         if len(rng) not in (2, 3):
             raise ConfigError("q_range: expected 'lo, hi' or 'lo, hi, count'",
-                              lines[("charge", "q_range")])
-        lo, hi = rng[0], rng[1]
-        count = rng[2] if len(rng) == 3 else 5
-        if not float(count).is_integer():
-            raise ConfigError("q_range: count must be a whole number",
-                              lines[("charge", "q_range")])
-        count = int(count)
+                              line)
+        lo, hi, count = rng[0], rng[1], rng[2] if len(rng) == 3 else 5
+        if not float(count).is_integer() or count < 2:
+            raise ConfigError("q_range: count must be a whole number, at "
+                              "least 2", line)
         if lo > hi:
-            raise ConfigError("q_range: lower bound exceeds upper bound",
-                              lines[("charge", "q_range")])
-        if lo < 0:
-            raise ConfigError("q_range: couplings must be nonnegative",
-                              lines[("charge", "q_range")])
-        if count < 2:
-            raise ConfigError("q_range: count must be at least 2",
-                              lines[("charge", "q_range")])
-        q_values = tuple(float(q) for q in np.linspace(lo, hi, count))
-        distinct_names("charge", "q_range", q_values)
-    else:
-        q = get("charge", "q", 0.0)
-        if q < 0:
-            raise ConfigError("q: coupling must be nonnegative")
-        q_values = (q,)
-
-    omega_list = get("solver", "omega_list", tuple(DEFAULT_OMEGA_LIST))
-    if not omega_list:
-        raise ConfigError("omega_list: must not be empty")
-    if any(w <= 0 for w in omega_list):
-        raise ConfigError("omega_list: frequencies must be positive")
-    if list(omega_list) != sorted(set(omega_list)):
-        raise ConfigError("omega_list: must be strictly increasing")
-    distinct_names("solver", "omega_list", omega_list)
-
-    delta_list = get("solver", "delta_list", ())
-    if any(d <= 0 for d in delta_list):
-        raise ConfigError("delta_list: weights must be positive")
-    if list(delta_list) != sorted(set(delta_list)):
-        raise ConfigError("delta_list: must be strictly increasing")
-    distinct_names("solver", "delta_list", delta_list)
+            raise ConfigError("q_range: lower bound exceeds upper bound", line)
+        q_values = tuple(float(q) for q in np.linspace(lo, hi, int(count)))
+        _distinct_names("q_range", q_values, line)
 
     try:
         solve_opts = SolveOptions(**{
-            f.name: values[("solver", f.name)]
-            for f in dataclasses.fields(SolveOptions)
-            if ("solver", f.name) in values})
+            f.name: v[f.name] for f in dataclasses.fields(SolveOptions)})
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
-
-    T = get("dynamics", "T", 50.0)
-    if T <= 0:
-        raise ConfigError("T: horizon must be positive")
-    dt = get("dynamics", "dt", None)
-    if dt is not None and dt <= 0:
-        raise ConfigError("dt: step must be positive")
-    dr = r_max / (n - 1)      # the spacing of RadialGrid(r_max, n)
-    if dt is not None and dt > max_dt(dr):
+    dr = v["r_max"] / (v["n"] - 1)      # the spacing of RadialGrid(r_max, n)
+    if v["dt"] is not None and v["dt"] > max_dt(dr):
         raise ConfigError(f"dt: exceeds the CFL bound {CFL_LIMIT:g} dr = "
-                          f"{CFL_LIMIT * dr:g}", lines[("dynamics", "dt")])
-    eps_list = get("dynamics", "eps_list", (0.0, 0.01))
-    if not eps_list:
-        raise ConfigError("eps_list: must not be empty")
-    if any(e < 0 for e in eps_list):
-        raise ConfigError("eps_list: amplitudes must be nonnegative")
-    if list(eps_list) != sorted(set(eps_list)):
-        raise ConfigError("eps_list: must be strictly increasing")
-    distinct_names("dynamics", "eps_list", eps_list)
-    modes = get("dynamics", "modes", PERTURBATION_MODES)
-    bad = [m for m in modes if m not in PERTURBATION_MODES]
-    if bad or not modes:
-        raise ConfigError(f"modes: unknown perturbation mode {bad}")
-    if len(set(modes)) < len(modes):
-        raise ConfigError("modes: must not repeat")
-    sample_every = get("dynamics", "sample_every", 10)
-    if sample_every < 1:
-        raise ConfigError("sample_every: must be at least 1")
-
-    out_dir = get("output", "out_dir", "qball-out")
-    parent = os.path.dirname(os.path.abspath(out_dir))
+                          f"{CFL_LIMIT * dr:g}", lines["dt"])
+    bad = [m for m in v["modes"] if m not in PERTURBATION_MODES]
+    if bad or not v["modes"]:
+        raise ConfigError(f"modes: unknown perturbation mode {bad}",
+                          lines.get("modes"))
+    if len(set(v["modes"])) < len(v["modes"]):
+        raise ConfigError("modes: must not repeat", lines.get("modes"))
+    parent = os.path.dirname(os.path.abspath(v["out_dir"]))
     if not os.path.isdir(parent):
-        raise ConfigError(f"out_dir: parent directory {parent!r} not found")
-    workers = get("output", "workers", 1)
-    if workers < 1:
-        raise ConfigError("workers: must be at least 1")
-    seed = get("output", "seed", 0)
-    if seed < 0:
-        raise ConfigError("seed: must be nonnegative")
-
-    return RunConfig(spec=spec, r_max=r_max, n=n, q_values=q_values,
-                     omega_list=tuple(omega_list),
-                     delta_list=tuple(delta_list), solve_opts=solve_opts,
-                     T=T, dt=dt, eps_list=tuple(eps_list),
-                     modes=tuple(modes), sample_every=sample_every,
-                     out_dir=out_dir, workers=workers, seed=seed)
+        raise ConfigError(f"out_dir: parent directory {parent!r} not found",
+                          lines.get("out_dir"))
+    return RunConfig(spec=spec, q_values=q_values, solve_opts=solve_opts,
+                     **{f.name: v[f.name] for f in
+                        dataclasses.fields(RunConfig) if f.name in v})
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,11 @@ class SolveOptions:
     flow_res_tol: float = 5e-5   # field-equation residual target for descent
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("tol", "flow_res_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.flow_max_iter < 1:
+            raise ValueError("flow_max_iter must be at least 1")
 
 
 @dataclasses.dataclass

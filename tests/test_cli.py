@@ -2,16 +2,21 @@
 
 import csv
 import hashlib
+import inspect
 import os
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qball import hylomorphy
-from qball.cli import ConfigError, main, parse_config, run
-from qball.dynamics import stability_probe
-from qball.solver import DEFAULT_OMEGA_LIST, solve_profile
+from qball.cli import _SCHEMA, ConfigError, main, parse_config, run
+from qball.dynamics import PERTURBATION_MODES, stability_probe
+from qball.fields import RadialGrid
+from qball.potential import default_potential
+from qball.solver import DEFAULT_OMEGA_LIST, SolveOptions, solve_profile
 
 # the deliberately small grids here leave visible profile tails
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -229,6 +234,9 @@ def test_parse_field_validation(tmp_path):
         "[charge]\nq_range = 0.01, 0.0100001, 3": "q_range",
         "[dynamics]\neps_list = 0.01, 0.0100000001": "eps_list",
         "[output]\nworkers = 0": "workers",
+        "[solver]\nflow_max_iter = 0": "flow_max_iter",
+        "[solver]\nflow_res_tol = 0": "flow_res_tol",
+        "[solver]\nflow_res_tol = -1.0": "flow_res_tol",
         # coefficients the preset does not read
         "[potential]\npreset = double_well\na = 2": "a",
         "[potential]\nb = 0.1": "b",
@@ -237,6 +245,58 @@ def test_parse_field_validation(tmp_path):
     for body, field in bad.items():
         with pytest.raises(ConfigError, match=field):
             parse_config(_cfg(tmp_path, body))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "r_max", "-1"),
+    ("grid", "n", "8"),
+    ("charge", "q", "-0.1"),
+    ("charge", "q_range", "0.5, 0.1"),
+    ("solver", "omega_list", "0.8, 0.5"),
+    ("solver", "delta_list", "-1e-4"),
+    ("solver", "tol", "0"),
+    ("solver", "flow_max_iter", "0"),
+    ("solver", "flow_res_tol", "0"),
+    ("dynamics", "T", "0"),
+    ("dynamics", "dt", "-0.01"),
+    ("dynamics", "eps_list", "-0.01"),
+    ("dynamics", "sample_every", "0"),
+    ("output", "workers", "0"),
+    ("output", "seed", "-1"),
+])
+def test_every_key_error_names_its_line(tmp_path, section, key, value):
+    out = tmp_path / "out"
+    path = _cfg(tmp_path, f"""\
+        # the bad value sits on line 5
+        [output]
+        out_dir = {out}
+        [{section}]
+        {key} = {value}
+        """)
+    with pytest.raises(ConfigError, match=rf"^{key}: .* \(line 5\)$"):
+        parse_config(path)
+    assert main(["check-potential", "--config", path]) == 2
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    cfg = parse_config(_cfg(tmp_path, "# no keys\n"))
+    grid = RadialGrid()
+    assert (cfg.r_max, cfg.n) == (grid.r_max, grid.n)
+    assert cfg.spec == default_potential()
+    assert cfg.solve_opts == SolveOptions()
+    probe = inspect.signature(stability_probe).parameters
+    for key in ("sample_every", "seed", "workers"):
+        assert getattr(cfg, key) == probe[key].default, key
+    assert cfg.omega_list == DEFAULT_OMEGA_LIST
+    assert cfg.modes == PERTURBATION_MODES
+
+
+def test_default_cfg_names_every_key():
+    # the README says demos/default.cfg documents every key
+    text = (Path(__file__).parents[1] / "demos" / "default.cfg").read_text()
+    for _, key in _SCHEMA:
+        assert re.search(rf"^(# )?{key} =", text, re.MULTILINE), key
 
 
 @pytest.mark.parametrize("section, key, value", [

@@ -91,8 +91,10 @@ def _diff_norm(a, b, spec):
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(tol=-1e-6)
+    for field, value in (("tol", -1e-6), ("flow_res_tol", 0.0),
+                         ("flow_res_tol", -1.0), ("flow_max_iter", 0)):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolveOptions(**{field: value})
 
 
 def test_tridiagonal_lu_rejects_a_singular_band():

@@ -93,6 +93,10 @@ def _strings(text):
 
 
 _POSITIVE, _NONNEGATIVE = (0, True), (0, False)
+# most couplings of one q_range: `solve` runs one family sweep per coupling,
+# about 1.5 s on demos/default.cfg, so this many already take 25 minutes,
+# and the coupling threshold is closed-form and needs no scan
+Q_RANGE_MAX = 1000
 
 # (section, key) -> (converter, default, bound).  The bound is a lower
 # limit (value, strict) on every number of the key, or None.
@@ -226,9 +230,10 @@ def _validate(pairs, lines):
             raise ConfigError("q_range: expected 'lo, hi' or 'lo, hi, count'",
                               line)
         lo, hi, count = rng[0], rng[1], rng[2] if len(rng) == 3 else 5
-        if not float(count).is_integer() or count < 2:
-            raise ConfigError("q_range: count must be a whole number, at "
-                              "least 2", line)
+        # checked before np.linspace expands it
+        if not float(count).is_integer() or not 2 <= count <= Q_RANGE_MAX:
+            raise ConfigError("q_range: count must be a whole number from 2 "
+                              f"to {Q_RANGE_MAX}", line)
         if lo > hi:
             raise ConfigError("q_range: lower bound exceeds upper bound", line)
         q_values = tuple(float(q) for q in np.linspace(lo, hi, int(count)))

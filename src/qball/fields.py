@@ -17,10 +17,10 @@ by gauss_residual applies the exact inverse of that construction, so a
 solved field has residual at roundoff level by design.  The Gauss-law
 helpers take and return the field E_r = -phi' that a state stores, in
 program units: E_r = Q(r)/r^2 with Q = int_0^r source v^2 dv, no 4 pi.
+fan_out imports the process pool only when it runs more than one worker.
 """
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -90,7 +90,15 @@ class RadialGrid:
         r_start = (1.0 - SPONGE_FRACTION) * self.r_max
         x = np.clip((self.r - r_start) / (self.r_max - r_start), 0.0, 1.0)
         self.sponge = SPONGE_SIGMA * x ** 5
-        for a in (self.r2, self.dr2_r2, self.wt, self.sponge):
+        # the stencil's coefficients on the interleaved (re, im) view of a
+        # complex field, each value twice; the row scale and the origin's
+        # 1/dr^2 as the reciprocals numpy's complex-by-real division uses
+        self._pair_rp2 = np.repeat(self._rp2, 2)
+        self._pair_rm2 = np.repeat(self._rm2, 2)
+        self._pair_inv_scale = np.repeat(1.0 / self.dr2_r2, 2)
+        self._inv_dr2 = 1.0 / self.dr ** 2
+        for a in (self.r2, self.dr2_r2, self.wt, self.sponge, self._pair_rp2,
+                  self._pair_rm2, self._pair_inv_scale):
             a.flags.writeable = False
         self._sponge_dt = None
 
@@ -107,7 +115,14 @@ class RadialGrid:
         return np.gradient(f, self.dr)
 
     def laplacian(self, f):
-        """Flux-form radial Laplacian with zero Dirichlet ghost at r_max."""
+        """Flux-form radial Laplacian with zero Dirichlet ghost at r_max.
+
+        A complex128 field runs the stencil on its interleaved real view,
+        bit-for-bit the complex arithmetic without casting the real
+        coefficients to complex.
+        """
+        if f.dtype == np.complex128:
+            return self._pair_laplacian(f)
         out = np.empty_like(f)
         out[1:-1] = (self._rp2[1:-1] * (f[2:] - f[1:-1])
                      - self._rm2[1:-1] * (f[1:-1] - f[:-2]))
@@ -115,6 +130,17 @@ class RadialGrid:
         out[1:] /= self.dr2_r2
         out[0] = 6.0 * (f[1] - f[0]) / self.dr ** 2
         return out
+
+    def _pair_laplacian(self, f):
+        """laplacian of complex f on the view [re_0, im_0, re_1, im_1, ...]."""
+        v = np.ascontiguousarray(f).view(float)
+        rp2, rm2 = self._pair_rp2, self._pair_rm2
+        out = np.empty_like(v)
+        out[2:-2] = rp2[2:-2] * (v[4:] - v[2:-2]) - rm2[2:-2] * (v[2:-2] - v[:-4])
+        out[-2:] = rp2[-2:] * (0.0 - v[-2:]) - rm2[-2:] * (v[-2:] - v[-4:-2])
+        out[2:] *= self._pair_inv_scale
+        out[:2] = 6.0 * (v[2:4] - v[:2]) * self._inv_dr2
+        return out.view(complex)
 
     def sponge_factors(self, dt):
         """(start, damp, loss) of one sponge pass of length dt.
@@ -377,5 +403,6 @@ def fan_out(fn, payloads, workers):
     """[fn(p) for p in payloads] in order, over `workers` processes if > 1."""
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))

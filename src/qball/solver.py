@@ -16,13 +16,13 @@ direct solve shoots on a coarser grid; the Newton runs on the caller's
 grid one step past tolerance, so the profile forgets its start (the
 shooting seed or a warm start) to roundoff.  family_sweep finishes a
 descent with that Newton at its fitted omega: every point meets tol.
+LAPACK (scipy) is imported at the first factorization, not with the module.
 """
 
 import dataclasses
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgttrf, dgttrs
 
 from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
                      functionals, gauss_field, gauss_residual,
@@ -105,9 +105,17 @@ def _screened_system(u, omega, q, grid):
     return a_low, a_diag, a_up, rhs
 
 
+def _lapack():
+    """(dgbsv, dgttrf, dgttrs).  The package's only scipy import, run at
+    the first factorization, so the survey never loads scipy."""
+    from scipy.linalg.lapack import dgbsv, dgttrf, dgttrs
+    return dgbsv, dgttrf, dgttrs
+
+
 def _tridiagonal_lu(a_low, a_diag, a_up):
     """solve(rhs) for the matrix with rows (a_low[i], a_diag[i], a_up[i]),
     factored once; a_low[0] and a_up[-1] fall outside the matrix."""
+    _, dgttrf, dgttrs = _lapack()
     *factors, info = dgttrf(a_low[1:], a_diag, a_up[:-1])
     if info != 0:
         raise ConvergenceError(f"singular tridiagonal matrix (info={info})")
@@ -265,6 +273,7 @@ def newton_polish(spec, omega, q, grid, u, phi, history=None):
     appends to history the (res1, res2) each step started from.  A failure
     names the step and the residuals it started from.
     """
+    dgbsv = _lapack()[0]
     lower, diag, upper = grid.lap_bands
     # LAPACK band storage, A[i, j] at ab[4 + i - j, j]: rows 0-1 take the
     # LU fill, and the row u[-1] = 0 has no off-diagonal entries

@@ -5,6 +5,8 @@ import hashlib
 import inspect
 import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -190,6 +192,12 @@ def test_parse_q_range_count_is_whole(tmp_path):
         """)
     with pytest.raises(ConfigError, match="q_range: count must be a whole"):
         parse_config(path)
+    # and at most Q_RANGE_MAX
+    path = _cfg(tmp_path, "[charge]\nq_range = 0.0, 0.02, 1001\n")
+    with pytest.raises(ConfigError, match="q_range: count must be a whole"):
+        parse_config(path)
+    cfg = parse_config(_cfg(tmp_path, "[charge]\nq_range = 0.0, 0.02, 1000\n"))
+    assert len(cfg.q_values) == 1000
 
 
 def test_parse_q_and_range_conflict(tmp_path):
@@ -252,6 +260,8 @@ def test_parse_field_validation(tmp_path):
     ("grid", "n", "8"),
     ("charge", "q", "-0.1"),
     ("charge", "q_range", "0.5, 0.1"),
+    # a count bound, checked before np.linspace would allocate 73 TiB
+    ("charge", "q_range", "0, 0.1, 1e13"),
     ("solver", "omega_list", "0.8, 0.5"),
     ("solver", "delta_list", "-1e-4"),
     ("solver", "tol", "0"),
@@ -277,6 +287,36 @@ def test_every_key_error_names_its_line(tmp_path, section, key, value):
         parse_config(path)
     assert main(["check-potential", "--config", path]) == 2
     assert not out.exists()
+
+
+def test_scipy_loads_at_the_first_factorization(tmp_path):
+    # a fresh interpreter that finds the same qball package as this one:
+    # importing the CLI and the three survey subcommands load no scipy,
+    # and a solve after them imports LAPACK and still converges
+    code = textwrap.dedent("""\
+        import sys
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        from qball.cli import main
+        from qball.fields import RadialGrid
+        from qball.potential import default_potential
+        from qball.solver import solve_profile
+        print("import", scipy_modules())
+        for sub in ("check-potential", "hylomorphy", "threshold"):
+            out = f"{sys.argv[2]}/{sub}"
+            assert main([sub, "--config", sys.argv[1], "--out", out]) == 0
+        print("survey", scipy_modules())
+        p = solve_profile(default_potential(), 0.8, 0.01, RadialGrid(20.0, 600))
+        print("solve", "scipy.linalg" in sys.modules, max(p.res1, p.res2) < 1e-6)
+        """)
+    root = os.path.dirname(os.path.dirname(hylomorphy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (root, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code, _tiny(tmp_path),
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "import []"
+    assert out[-2:] == ["survey []", "solve True True"]
 
 
 def test_cli_defaults_are_the_library_defaults(tmp_path):

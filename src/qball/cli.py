@@ -83,11 +83,6 @@ def _floats(text):
     return tuple(float(t) for t in toks)
 
 
-def _sweep(text):
-    """Floats of a sweep list, which _validate checks as one."""
-    return _floats(text)
-
-
 def _strings(text):
     return tuple(t for t in re.split(r"[,\s]+", text.strip()) if t)
 
@@ -110,20 +105,25 @@ _SCHEMA = {
     ("grid", "n"): (int, 4000, (16, False)),
     ("charge", "q"): (float, 0.0, _NONNEGATIVE),
     ("charge", "q_range"): (_floats, None, _NONNEGATIVE),
-    ("solver", "omega_list"): (_sweep, DEFAULT_OMEGA_LIST, _POSITIVE),
-    ("solver", "delta_list"): (_sweep, (), _POSITIVE),
+    ("solver", "omega_list"): (_floats, DEFAULT_OMEGA_LIST, _POSITIVE),
+    ("solver", "delta_list"): (_floats, (), _POSITIVE),
     ("solver", "tol"): (float, 1e-6, _POSITIVE),
     ("solver", "flow_max_iter"): (int, 6000, (1, False)),
     ("solver", "flow_res_tol"): (float, 5e-5, _POSITIVE),
     ("dynamics", "T"): (float, 50.0, _POSITIVE),
     ("dynamics", "dt"): (float, None, _POSITIVE),
-    ("dynamics", "eps_list"): (_sweep, (0.0, 0.01), _NONNEGATIVE),
+    ("dynamics", "eps_list"): (_floats, (0.0, 0.01), _NONNEGATIVE),
     ("dynamics", "modes"): (_strings, PERTURBATION_MODES, None),
     ("dynamics", "sample_every"): (int, 10, (1, False)),
     ("output", "out_dir"): (str, "qball-out", None),
     ("output", "workers"): (int, 1, (1, False)),
     ("output", "seed"): (int, 0, _NONNEGATIVE),
 }
+# the lists one run sweeps: strictly increasing, and named by {v:g}
+_SWEEPS = ("omega_list", "delta_list", "eps_list")
+# what a converter that can fail expects, in the config's terms
+_EXPECTED = {float: "a number", int: "a whole number",
+             _floats: "a list of numbers"}
 
 _SECTIONS = {s for s, _ in _SCHEMA}
 
@@ -194,17 +194,17 @@ def _validate(pairs, lines):
             v[key] = conv(raw)
         except ValueError:
             raise ConfigError(f"{key}: cannot parse {raw!r} as "
-                              f"{conv.__name__}", line) from None
+                              f"{_EXPECTED[conv]}", line) from None
         nums = v[key] if isinstance(v[key], tuple) else (v[key],)
         # the bounds compare with < and <=, which nan passes
-        if conv in (float, _floats, _sweep) and not np.all(np.isfinite(nums)):
+        if conv in (float, _floats) and not np.all(np.isfinite(nums)):
             raise ConfigError(f"{key}: must be finite, got {raw!r}", line)
         if bound is not None:
             lo, strict = bound
             if any(x <= lo if strict else x < lo for x in nums):
                 raise ConfigError(f"{key}: must be {'>' if strict else '>='} "
                                   f"{lo:g}", line)
-        if conv is _sweep:
+        if key in _SWEEPS:
             if default and not nums:    # only delta_list may be empty
                 raise ConfigError(f"{key}: must not be empty", line)
             if list(nums) != sorted(set(nums)):
@@ -248,8 +248,10 @@ def _validate(pairs, lines):
     if v["dt"] is not None and v["dt"] > max_dt(dr):
         raise ConfigError(f"dt: exceeds the CFL bound {CFL_LIMIT:g} dr = "
                           f"{CFL_LIMIT * dr:g}", lines["dt"])
+    if not v["modes"]:
+        raise ConfigError("modes: must not be empty", lines.get("modes"))
     bad = [m for m in v["modes"] if m not in PERTURBATION_MODES]
-    if bad or not v["modes"]:
+    if bad:
         raise ConfigError(f"modes: unknown perturbation mode {bad}",
                           lines.get("modes"))
     if len(set(v["modes"])) < len(v["modes"]):
@@ -335,49 +337,45 @@ def _run_threshold(cfg, stage):
           f"(closed form, bracket width {report.bisect_rel_width:.1e})")
 
 
-def _solve_point(point):
-    """Worker: one point as a one-point, hence cold, family_sweep.
-
-    Returns (q, kind, value, profile, error); one of the last two is None.
-    """
-    spec, grid, opts, q, kind, value = point
-    sweep = family_sweep(spec, q, grid, opts=opts, **{f"{kind}_list": [value]})
-    error = sweep.failures[0][1] if sweep.failures else None
-    return q, kind, value, sweep.profiles[0], error
+def _sweep_job(job):
+    spec, q, grid, opts, kind, values = job
+    return family_sweep(spec, q, grid, opts=opts, **{f"{kind}_list": values})
 
 
 def _run_solve(cfg, stage):
     grid = cfg.grid()
-    points = [(cfg.spec, grid, cfg.solve_opts, q, kind, value)
-              for q in cfg.q_values
-              for kind, values in (("omega", cfg.omega_list),
-                                   ("delta", cfg.delta_list))
-              for value in values]
-    results = sorted(fan_out(_solve_point, points, cfg.workers),
-                     key=lambda r: r[:3])
+    jobs = [(cfg.spec, q, grid, cfg.solve_opts, kind, values)
+            for q in cfg.q_values
+            for kind, values in (("delta", cfg.delta_list),
+                                 ("omega", cfg.omega_list))
+            if values]
+    sweeps = fan_out(_sweep_job, jobs, cfg.workers)
 
     rows = []
     failures = []
-    for q, kind, value, prof, error in results:
-        if error is not None:
-            failures.append((kind, value, q, error))
-            continue
-        rows.append((q, kind, value, prof.E, prof.C, prof.Lambda,
-                     prof.res1, prof.res2, prof.u0, prof.newton_iters,
-                     prof.flow_iters))
-        name = f"profile_{kind}{value:g}_q{q:g}.txt"
-        prof.state.save(os.path.join(stage, name), m=cfg.spec.m,
-                        omega=prof.omega,
-                        delta=value if kind == "delta" else None)
+    for sw in sweeps:
+        q, kind = sw.q, sw.parameter
+        failures += [(kind, value, q, reason) for value, reason in sw.failures]
+        for value, prof in zip(sw.values, sw.profiles):
+            if prof is None:
+                continue
+            rows.append((q, kind, value, prof.E, prof.C, prof.Lambda,
+                         prof.res1, prof.res2, prof.u0, prof.newton_iters,
+                         prof.flow_iters))
+            name = f"profile_{kind}{value:g}_q{q:g}.txt"
+            prof.state.save(os.path.join(stage, name), m=cfg.spec.m,
+                            omega=prof.omega,
+                            delta=value if kind == "delta" else None)
+    n_points = len(rows) + len(failures)
     _write_csv(os.path.join(stage, "sweep.csv"),
                ("q", "mode", "omega_or_delta", "E", "C", "Lambda",
                 "res1", "res2", "u0", "newton_iters", "flow_iters"), rows)
-    summary = [("n_points", len(results)), ("n_ok", len(rows)),
+    summary = [("n_points", n_points), ("n_ok", len(rows)),
                ("n_failures", len(failures))]
     for i, (kind, value, q, reason) in enumerate(failures):
         summary.append((f"failure_{i}", f"{kind}={value:g} q={q:g}: {reason}"))
     _write_report(os.path.join(stage, "solve.txt"), summary)
-    print(f"solve: {len(rows)} of {len(results)} points converged, "
+    print(f"solve: {len(rows)} of {n_points} points converged, "
           f"{len(failures)} failures")
     for kind, value, q, reason in failures:
         print(f"  failed {kind}={value:g} q={q:g}: {reason}")

@@ -32,7 +32,8 @@ from .fields import FOUR_PI, FieldState, solve_poisson
 from .potential import hylomorphy_constants
 
 DEFAULT_R_LIST = (2.0, 5.0, 10.0, 20.0, 40.0)
-CALIBRATION_Q = (0.0, 1e-3, 1e-2)
+# q = 0 needs no calibration: c1 alone bounds it
+CALIBRATION_Q = (1e-3, 1e-2)
 # ratio margin, in units of m, by which the threshold bracket must clear m;
 # well above the roundoff of A_R + q^2 B_R
 THRESHOLD_MARGIN = 1e-13
@@ -229,7 +230,7 @@ def calibrate_constants(spec, r_max):
     rows = _ratio_coefficients(spec, r_max)
     c1 = max(alpha * R * (a - alpha) for R, a, _ in rows)
     c6 = 0.0
-    for q in filter(None, CALIBRATION_Q):    # q = 0 holds by c1 alone
+    for q in CALIBRATION_Q:
         for R, a, b in rows:
             excess = a + q * q * b - alpha - c1 / (alpha * R)
             c6 = max(c6, excess / (q * q * alpha * s_bar ** 2 * R * R))

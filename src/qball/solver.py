@@ -588,13 +588,16 @@ class FamilySweepResult:
 
 
 def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
-    """Continuation over omega (direct route) or delta (descent route).
+    """Continuation over omega (direct route), or independent delta points
+    (descent route).
 
-    Each point warm-starts from its predecessor and falls back to a
-    fresh solve, so a sweep of one point is a cold solve.  A descent
-    point whose fitted omega is outside (0, m) fails as no bound state;
-    otherwise solve_profile finishes it at that omega from its u.  Every
-    point meets tol or fails; failures are recorded per point, not raised.
+    An omega point warm-starts from its predecessor's u and falls back to
+    a cold solve; the Newton forgets the start to roundoff.  A descent
+    stops where J stalls, which depends on its start, so every delta
+    point starts from descent_seed.  A descent point whose fitted omega
+    is outside (0, m) fails as no bound state; otherwise solve_profile
+    finishes it at that omega from its u.  Every point meets tol or
+    fails; failures are recorded per point, not raised.
     """
     opts = opts or SolveOptions()
     if omega_list is not None and delta_list is not None:
@@ -618,8 +621,8 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
                         raise
                     prof = solve_profile(spec, val, q, grid, opts)
             else:
-                seed = prev if prev is not None else descent_seed(spec, q, grid)
-                flow = minimize_J(spec, q, val, seed, opts=opts)
+                flow = minimize_J(spec, q, val, descent_seed(spec, q, grid),
+                                  opts=opts)
                 if not 0.0 < flow.omega < spec.m:
                     raise ConvergenceError(
                         f"descent fitted omega={flow.omega:.6g} outside "
@@ -635,9 +638,6 @@ def family_sweep(spec, q, grid, omega_list=None, delta_list=None, opts=None):
             prev = None
             continue
         profiles.append(prof)
-        if parameter == "omega":
-            prev = prof.state.u
-        else:
-            prev = flow_state(q, grid, prof.state.u, -prof.state.theta)
+        prev = prof.state.u
     return FamilySweepResult(parameter=parameter, values=values,
                              profiles=profiles, failures=failures, q=q)

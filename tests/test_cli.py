@@ -18,7 +18,8 @@ from qball.cli import _SCHEMA, ConfigError, main, parse_config, run
 from qball.dynamics import PERTURBATION_MODES, stability_probe
 from qball.fields import RadialGrid
 from qball.potential import default_potential
-from qball.solver import DEFAULT_OMEGA_LIST, SolveOptions, solve_profile
+from qball.solver import (DEFAULT_OMEGA_LIST, SolveOptions, family_sweep,
+                          solve_profile)
 
 # the deliberately small grids here leave visible profile tails
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -75,11 +76,11 @@ TINY_DIGESTS = {
     "solve/profile_omega0.7_q0.01.txt":
         "0991a47f6c753fc2644e9f3be9f998d1cdd6bd7586a6576766c8e1e3c507a066",
     "solve/profile_omega0.8_q0.01.txt":
-        "cf27a2ce0370bf06c31cdc5557db864167264f770ec791618a6fb1474c0902c5",
+        "75569944f3beda8b083bb841f0640d3e2288629002bd202f7b0401a0dfa2045b",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
-        "6e3720491d6503e1f01eb3743fffd5fbad98b7e49fd456e60b76adca851232cb",
+        "c34b5a8e813b42eba83d39b0849c97f37e4a54a220f60bfb195762fdfb4ae85b",
     "evolve/evolve.txt":
         "a4e9c5838d966ea2b6d0889f789525b231eb0d2eae857aa72c2996b43611d090",
     "evolve/trace_amplitude_eps0.01.csv":
@@ -109,6 +110,25 @@ def _tiny(tmp_path, extra=""):
         [dynamics]
         T = 2.0
         """ + extra, name="tiny.cfg")
+
+
+def _family(tmp_path, out_name):
+    """Two couplings, each with a three-omega and a two-delta sweep."""
+    return _cfg(tmp_path, f"""
+        [grid]
+        r_max = 20.0
+        n = 600
+
+        [charge]
+        q_range = 0.001, 0.002, 2
+
+        [solver]
+        omega_list = 0.7, 0.75, 0.8
+        delta_list = 2e-4, 3e-4
+
+        [output]
+        out_dir = {tmp_path / out_name}
+        """, name="family.cfg")
 
 
 def _read_kv(path):
@@ -225,7 +245,8 @@ def test_parse_bad_number(tmp_path):
         [grid]
         n = plenty
         """)
-    with pytest.raises(ConfigError, match="n: cannot parse"):
+    with pytest.raises(ConfigError,
+                       match="n: cannot parse 'plenty' as a whole number"):
         parse_config(path)
 
 
@@ -235,6 +256,15 @@ def test_parse_field_validation(tmp_path):
         "[dynamics]\nT = 0.0": "T",
         "[dynamics]\nmodes = wobble": "modes",
         "[dynamics]\nmodes = amplitude, amplitude": "modes",
+        "[dynamics]\nmodes =": r"^modes: must not be empty \(line 2\)$",
+        # an unparsable value names what the key expects
+        "[grid]\nr_max = far":
+            r"^r_max: cannot parse 'far' as a number \(line 2\)$",
+        "[solver]\nomega_list = 0.5, abc":
+            r"^omega_list: cannot parse '0.5, abc' as a list of numbers"
+            r" \(line 2\)$",
+        "[charge]\nq_range = 0, x":
+            r"^q_range: cannot parse '0, x' as a list of numbers \(line 2\)$",
         "[solver]\nomega_list = 0.8, 0.5": "omega_list",
         # distinct values whose {v:g} file names collide
         "[solver]\nomega_list = 0.8, 0.8000001": "omega_list",
@@ -251,9 +281,10 @@ def test_parse_field_validation(tmp_path):
         "[potential]\npreset = pure_mass\na = 0.5\nb = 0.1": "a",
     }
     for body, field in bad.items():
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=field) as err:
             parse_config(_cfg(tmp_path, body))
-
+        # the message speaks the config's terms, not the parser's names
+        assert not re.search(r"\b_[a-z]", str(err.value)), str(err.value)
 
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "r_max", "-1"),
@@ -494,6 +525,37 @@ def test_solve_descent_route(tmp_path):
             assert row["flow_iters"] == "none"
 
 
+def test_solve_rows_are_the_library_sweeps(tmp_path):
+    # solve runs family_sweep once per coupling and route, rows in job order
+    cfg = parse_config(_family(tmp_path, "out"))
+    assert run("solve", cfg) == 0
+    out = tmp_path / "out"
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 10
+    rows = iter(rows)
+    ref = tmp_path / "ref.txt"
+    for q in cfg.q_values:
+        for kind, values in (("delta", cfg.delta_list),
+                             ("omega", cfg.omega_list)):
+            sweep = family_sweep(cfg.spec, q, cfg.grid(), opts=cfg.solve_opts,
+                                 **{f"{kind}_list": values})
+            assert not sweep.failures
+            for value, prof in zip(values, sweep.profiles):
+                row = next(rows)
+                assert (float(row["q"]), row["mode"],
+                        float(row["omega_or_delta"])) == (q, kind, value)
+                for col in ("E", "C", "Lambda", "res1", "res2", "u0"):
+                    assert float(row[col]) == getattr(prof, col), col
+                assert row["newton_iters"] == str(prof.newton_iters)
+                assert row["flow_iters"] == str(prof.flow_iters).lower()
+                delta = value if kind == "delta" else None
+                prof.state.save(ref, m=cfg.spec.m, omega=prof.omega,
+                                delta=delta)
+                name = f"profile_{kind}{value:g}_q{q:g}.txt"
+                assert (out / name).read_bytes() == ref.read_bytes(), name
+
+
 def test_evolve_artifacts(tmp_path):
     cfg = parse_config(_small(tmp_path, "out"))
     assert run("evolve", cfg) == 0
@@ -596,11 +658,15 @@ def test_determinism_across_worker_counts(tmp_path):
         [output]
         out_dir = {tmp_path / "solve1"}
         """)
-    for sub in ("solve", "evolve"):
-        one, three = tmp_path / f"{sub}1", tmp_path / f"{sub}3"
+    # and on more than one job per route: two couplings, two sweeps each
+    family = _family(tmp_path, "family1")
+    for sub, config, name in (("solve", base, "solve"),
+                              ("evolve", base, "evolve"),
+                              ("solve", family, "family")):
+        one, three = tmp_path / f"{name}1", tmp_path / f"{name}3"
         own_dir = [] if sub == "solve" else ["--out", str(one)]
-        assert main([sub, "--config", base] + own_dir) == 0
-        assert main([sub, "--config", base, "--out", str(three),
+        assert main([sub, "--config", config] + own_dir) == 0
+        assert main([sub, "--config", config, "--out", str(three),
                      "--workers", "3"]) == 0
         names = sorted(os.listdir(one))
         assert names == sorted(os.listdir(three))

@@ -461,7 +461,9 @@ def test_penalty_weights_separate_energies(spec, grid, flow_seed):
     assert m1.Lambda > 0.99
 
 
-def test_penalty_sweep_continuation(spec, grid):
+def test_penalty_sweep_points_are_independent(spec, grid):
+    # a descent lands where J stalls, which depends on its start, so each
+    # delta point starts from descent_seed, as it would on its own
     sw = family_sweep(spec, FLOW_Q, grid, delta_list=[2e-4, 3e-4])
     assert sw.parameter == "delta"
     assert not sw.failures
@@ -469,6 +471,9 @@ def test_penalty_sweep_continuation(spec, grid):
     assert p1.res1 <= 1e-4 and p2.res1 <= 1e-4
     assert p2.E < p1.E
     assert p2.omega > p1.omega
+    alone, = family_sweep(spec, FLOW_Q, grid, delta_list=[3e-4]).profiles
+    assert alone.omega == p2.omega
+    assert np.array_equal(alone.state.u, p2.state.u)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

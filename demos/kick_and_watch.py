@@ -41,6 +41,8 @@ ratio = float(np.max(tk.d)) / (eps * norm)
 print(f"  max orbit distance {np.max(tk.d):.4f} = {ratio:.2f} x (eps x norm)")
 print(f"  energy drift of the kicked run "
       f"{np.max(np.abs(tk.E - tk.E[0])) / abs(tk.E[0]):.2e}")
+print(f"  charge drift of the kicked run "
+      f"{np.max(np.abs(tk.C - tk.C[0])) / abs(tk.C[0]):.2e}")
 
 print("\nthe kicked field never wanders beyond a few kick-sizes from the")
 print("soliton orbit: perturbations slosh around the lump instead of")

@@ -1,40 +1,47 @@
 """Radial time evolution of the charged scalar with its electrostatic field.
 
-The matter field is complex: psi with momentum pi = d_t psi.  The
-electrostatic potential phi is not an independent degree of freedom; it
-is re-solved from Gauss's law after every kick, with charge density
+The matter field is complex: psi with the covariant momentum
+Pi = D_t psi = d_t psi + i q phi psi, stored as pi.  The electrostatic
+potential phi is not an independent degree of freedom; it is the image
+of Gauss's law with charge density
 
-    rho = -q Im(pi conj(psi)) - q^2 phi |psi|^2
+    rho = -q Im(Pi conj(psi)),
 
-evaluated using the previous potential (one Picard pass, a second when
-the coupling is strong).  A stationary profile lifted by psi = u,
-pi = -i omega u is an exact steady source: rho reproduces the profile's
--q theta u and phi stays put.
+which holds no phi, so one Poisson solve gives it: there is no Picard
+iteration and no screening term.  A stationary profile lifted by psi = u,
+Pi = -i (omega - q phi) u is an exact steady source: rho reproduces the
+profile's -q theta u and phi stays put.
 
-One step is a symmetric split: a half kick of the local terms (the
-potential force and the frozen-phi gauge terms, integrated exactly), a
-full wave substep of the radial Laplacian (drift, Laplacian kick,
-drift), the mirrored half kick, then an absorbing sponge on pi over the
-outer tenth of the grid.  The composition is second order and
-time-reversible away from the sponge.  step advances n steps at once
-and merges the closing half kick of each step with the opening half
-kick of the next into one full kick, followed by one Gauss solve and
-the sponge (the leapfrog first-same-as-last form of the Strang split).
-n steps then cost n + 1 kicks and Gauss solves instead of 2n; n = 1 is
-the plain split step.  evolve advances one such chunk per sample
-interval, so the half kicks close at every sample.
+The equations psi_t = Pi - i q phi psi, Pi_t = Lap psi - h psi - i q phi Pi
+(h = W'(|psi|)/|psi|) split into two parts:
+
+- the wave part psi_t = Pi, Pi_t = Lap psi (drift, Laplacian kick, drift);
+- the local part psi_t = -i q phi psi, Pi_t = -h psi - i q phi Pi, exact
+  for frozen phi: psi <- exp(-i q phi tau) psi and
+  Pi <- exp(-i q phi tau) (Pi - tau h psi).
+
+The local part leaves |psi| and rho unchanged, so phi stays exact during
+it, and one Gauss solve after each wave part restores the constraint.
+One step is a symmetric split: a local half substep, the wave part, the
+Gauss solve, the mirrored local half substep, then an absorbing sponge
+on Pi over the outer tenth of the grid.  The composition is second
+order and time-reversible away from the sponge.  step advances n steps
+at once and merges the closing local half substep of each step with the
+opening one of the next into one full substep (the leapfrog
+first-same-as-last form of the Strang split), so n steps cost n + 1
+local substeps and n Gauss solves; n = 1 is the plain split step.
+evolve advances one such chunk per sample interval, so the half
+substeps close at every sample.
 
 The step is fused for speed without changing the scheme.  |psi| is taken
-once per drift and shared by the kick, the |psi|^2 of the Gauss source,
-the blow-up check and the Picard rule, which is re-evaluated once per
-step from that step's max |psi|.  The gauge kick's factors
-exp(-i a tau) and (1 - exp(-i a tau))/(i a), a = 2 q phi, come from
-their four-term series while max |a tau| < SERIES_RANGE (the truncation
-error, (a tau)^4/24, is then below 3e-15) and from the closed form
-otherwise.  The Gauss solve inside a step skips solve_poisson's input
-checks, and the sponge's damping and loss weights are built once per
-(grid, dt) by RadialGrid.sponge_factors.  evolve takes D_t psi and
-d_r psi once per sample and shares them between E, C and d.
+once per wave part and shared by h and the blow-up check.  The rotation
+exp(-ix), x = q phi tau, comes from its four-term series while
+max |x| < SERIES_RANGE (the truncation error, x^4/24, is then below
+3e-15) and from the closed form otherwise.  The Gauss solve inside a
+step skips solve_poisson's input checks, and the sponge's damping and
+loss weights are built once per (grid, dt) by RadialGrid.sponge_factors.
+evolve takes Pi and d_r psi once per sample and shares them between E,
+C and d.
 """
 
 import dataclasses
@@ -46,7 +53,7 @@ from .fields import (energy_norm, fan_out, gauss_potential, norm_sq,
 
 CFL_LIMIT = 0.5           # dt must stay below this times dr
 DEFAULT_DT_FACTOR = 0.2
-SERIES_RANGE = 5e-4       # max |a tau| up to which the gauge kick uses its series
+SERIES_RANGE = 5e-4       # max |x| up to which exp(-ix) uses its series
 
 PERTURBATION_MODES = ("amplitude", "velocity", "noise")
 
@@ -73,24 +80,17 @@ class BlowUpError(RuntimeError):
 
 @dataclasses.dataclass
 class DynState:
-    """Complex matter field, its momentum, and the derived potential."""
+    """Complex matter field, its covariant momentum, and the potential."""
 
     grid: object
     spec: object
     q: float
     psi: np.ndarray      # complex radial samples
-    pi: np.ndarray       # complex samples of d_t psi
+    pi: np.ndarray       # complex samples of D_t psi = d_t psi + i q phi psi
     phi: np.ndarray      # electrostatic potential, a constraint image
     e_r: np.ndarray      # radial electric field belonging to phi
     t: float = 0.0
     sponge_flux: float = 0.0
-
-    @property
-    def d_t_psi(self):
-        """Gauge-covariant time derivative pi + i q phi psi."""
-        if self.q == 0.0:
-            return self.pi
-        return self.pi + 1j * self.q * self.phi * self.psi
 
     def clone(self):
         return DynState(self.grid, self.spec, self.q, self.psi.copy(),
@@ -98,88 +98,59 @@ class DynState:
                         self.t, self.sponge_flux)
 
 
-def _constrain_phi(grid, q, psi, mod, pi, phi_prev, picard,
-                   solve=gauss_potential):
-    """Solve the Gauss constraint, feeding the previous phi into rho.
+def _constrain_phi(grid, q, psi, pi, solve):
+    """(phi, e_r) of Gauss's law for rho = -q Im(pi conj(psi)).
 
-    mod is |psi|; solve is the Poisson solve, unchecked inside a step.
+    solve is the Poisson solve, unchecked inside a step.
     """
     if q == 0.0:
         z = np.zeros(grid.n)
         return z, z.copy()
-    # -q Im(pi conj(psi)) from real parts, and |psi|^2 of the screening term
-    src = -q * (pi.imag * psi.real - pi.real * psi.imag)
-    mod2 = mod * mod
-    q2 = q * q
-    phi = phi_prev
-    for _ in range(picard):
-        phi, e_r = solve(src - q2 * phi * mod2, grid)
-    return phi, e_r
+    return solve(-q * (pi.imag * psi.real - pi.real * psi.imag), grid)
 
 
 def constrain(state):
     """Return a copy whose phi is the constraint image of its own fields."""
     out = state.clone()
     out.phi, out.e_r = _constrain_phi(state.grid, state.q, state.psi,
-                                      np.abs(state.psi), state.pi, state.phi,
-                                      2, solve=solve_poisson)
+                                      state.pi, solve_poisson)
     return out
 
 
-def _kick(spec, q, psi, mod, pi, phi, tau):
-    """Exact integration of pi' = -2iq phi pi + (-h(|psi|) + q^2 phi^2) psi.
-
-    The solution is exp(-i a tau) pi + g src with a = 2 q phi and
-    g = (1 - exp(-i a tau))/(i a); mod is |psi|.  Where |a tau| is below
-    SERIES_RANGE both factors come from their four-term series.
-    """
-    h = spec.wp_over_s(mod)
-    if q == 0.0:
-        return pi - tau * h * psi
-    x = (2.0 * q * tau) * phi
+def _rotation(x):
+    """exp(-ix), from its four-term series while max |x| < SERIES_RANGE."""
+    if np.max(np.abs(x)) >= SERIES_RANGE:
+        return np.exp(-1j * x)
+    # exp(-ix) = 1 - ix - x^2/2 + ix^3/6 - ...
     x2 = x * x
-    src = (x2 * (0.5 / tau) ** 2 - h) * psi         # (q^2 phi^2 - h) psi
-    # g = tau (1 - ix/2 - x^2/6 + ix^3/24 - ...)
-    w = x2 * (1.0 / 6.0)
-    w -= 1.0
-    g = np.empty_like(pi)
-    np.multiply(w, -tau, out=g.real)
-    v = x2 * (1.0 / 12.0)
-    v -= 1.0
-    v *= x
-    np.multiply(v, 0.5 * tau, out=g.imag)
-    if np.max(np.abs(x)) < SERIES_RANGE:
-        # exp(-ix) = 1 - ix - x^2/2 + ix^3/6 - ...
-        fac = np.empty_like(pi)
-        np.multiply(x2, -0.5, out=fac.real)
-        fac.real += 1.0
-        np.multiply(x, w, out=fac.imag)
-    else:
-        fac = np.exp(-1j * x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(np.abs(x) < SERIES_RANGE, g,
-                         (1.0 - fac) / (2j * q * phi))
-    out = fac * pi
-    out += src * g
-    return out
+    rot = np.empty(x.shape, np.complex128)
+    np.multiply(x2, -0.5, out=rot.real)
+    rot.real += 1.0
+    x2 *= 1.0 / 6.0
+    x2 -= 1.0
+    np.multiply(x, x2, out=rot.imag)
+    return rot
 
 
-def _picard_passes(q, dt, peak):
-    """Picard passes of a Gauss solve: two when the screening is strong.
+def _local(spec, q, psi, mod, pi, phi, tau):
+    """The local substep of length tau, exact for frozen phi; mod is |psi|.
 
-    peak is max |psi|.  It is capped below the float range of its square
-    (a float power raises on overflow); such fields blow up in this step.
+    Returns exp(-i q phi tau) psi and exp(-i q phi tau) (pi - tau h psi).
     """
-    return 2 if q * dt * min(peak, 1e150) ** 2 > 0.1 else 1
+    pi = pi - tau * spec.wp_over_s(mod) * psi
+    if q == 0.0:
+        return psi, pi
+    rot = _rotation((q * tau) * phi)
+    return rot * psi, rot * pi
 
 
 def step(state, dt, n=1):
     """Advance n symmetric split steps of size dt; returns a new state.
 
-    Between two steps the closing and opening half kicks are one full
-    kick, so the n steps cost n + 1 kicks and Gauss solves; n = 1 is one
-    plain split step.  A non-finite field raises BlowUpError at the end
-    of the step that produced it.
+    Between two steps the closing and opening local half substeps are one
+    full substep, so the n steps cost n + 1 local substeps and n Gauss
+    solves; n = 1 is one plain split step.  A non-finite field raises
+    BlowUpError at the end of the step that produced it.
     """
     grid, spec, q = state.grid, state.spec, state.q
     if dt <= 0.0:
@@ -191,11 +162,8 @@ def step(state, dt, n=1):
     half = 0.5 * dt
     start, damp, loss = grid.sponge_factors(dt)
 
-    psi, phi = state.psi, state.phi
-    mod = np.abs(psi)
-    picard = _picard_passes(q, dt, float(np.max(mod)))
-    pi = _kick(spec, q, psi, mod, state.pi, phi, half)
-    phi, e_r = _constrain_phi(grid, q, psi, mod, pi, phi, picard)
+    psi, pi = _local(spec, q, state.psi, np.abs(state.psi), state.pi,
+                     state.phi, half)
     t, flux = state.t, state.sponge_flux
     for remaining in range(n, 0, -1):
         psi = psi + half * pi
@@ -206,13 +174,10 @@ def step(state, dt, n=1):
 
         mod = np.abs(psi)
         peak = float(np.max(mod))
-        if remaining > 1:
-            # this step's closing half kick and the next one's opening one
-            pi = _kick(spec, q, psi, mod, pi, phi, dt)
-            picard = _picard_passes(q, dt, peak)
-        else:
-            pi = _kick(spec, q, psi, mod, pi, phi, half)
-        phi, e_r = _constrain_phi(grid, q, psi, mod, pi, phi, picard)
+        phi, e_r = _constrain_phi(grid, q, psi, pi, gauss_potential)
+        # this step's closing half substep and the next one's opening one
+        psi, pi = _local(spec, q, psi, mod, pi, phi,
+                         dt if remaining > 1 else half)
 
         tail = pi[start:]
         flux += float(loss @ (tail.real * tail.real + tail.imag * tail.imag))
@@ -226,18 +191,22 @@ def step(state, dt, n=1):
 
 
 def lift_profile(profile, spec):
-    """Stationary profile as an initial state: psi = u, pi = -i omega u."""
+    """Stationary profile as an initial state.
+
+    psi = u and Pi = -i (omega - q phi) u, the D_t psi of the orbit
+    psi = u exp(-i omega t).
+    """
     grid = profile.state.grid
     psi = profile.state.u.astype(np.complex128)
-    pi = -1j * profile.omega * psi
     phi = np.array(profile.phi, dtype=float)
+    pi = -1j * (profile.omega - profile.q * phi) * psi
     e_r = np.array(profile.state.E_r, dtype=float)
     return DynState(grid, spec, profile.q, psi, pi, phi, e_r)
 
 
 def _monitor_terms(state):
     """D_t psi and d_r psi, the terms E, C and d of one state share."""
-    return state.d_t_psi, state.grid.d_dr(state.psi)
+    return state.pi, state.grid.d_dr(state.psi)
 
 
 def _norm_terms(chi, dpsi, psi, e_r):
@@ -261,7 +230,7 @@ def _charge(state, chi):
 
 def dyn_charge(state):
     """C = int Im(D_t psi conj(psi)), the hylenic charge."""
-    return _charge(state, state.d_t_psi)
+    return _charge(state, state.pi)
 
 
 def dyn_norm_sq(state):
@@ -296,10 +265,10 @@ def orbit_distance(state, ref):
 def perturb(state, mode, eps, seed=0):
     """Kick a state off its orbit and re-solve the constraint.
 
-    amplitude scales the matter pair by (1+eps), velocity adds eps psi
-    to the momentum, and noise adds a smooth compactly supported random
-    field rescaled so its energy-norm distance from the original state
-    is eps times the state norm.
+    amplitude scales the matter pair (psi, Pi) by (1+eps), velocity adds
+    eps psi to Pi, and noise adds smooth compactly supported random
+    fields to (psi, Pi), rescaled so the energy-norm distance from the
+    original state is eps times the state norm.
     """
     if eps < 0.0:
         raise ValueError("perturbation size must be nonnegative")
@@ -345,7 +314,7 @@ def _plain_distance(state, ref):
     g = state.grid
     diff = state.psi - ref.psi
     d2 = norm_sq(state.spec, g.w, *_norm_terms(
-        state.d_t_psi - ref.d_t_psi, g.d_dr(diff), diff, state.e_r - ref.e_r))
+        state.pi - ref.pi, g.d_dr(diff), diff, state.e_r - ref.e_r))
     return np.sqrt(max(d2, 0.0))
 
 
@@ -375,8 +344,9 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
     d(t) is the phase-minimized energy-norm distance to the reference.
     Translation minimization is trivial in the radial sector and is not
     searched.  Each sample interval is one call of step with
-    n = sample_every (fewer at the end), so the half kicks close at every
-    sample.  A blow-up is re-raised carrying the partial trace.
+    n = sample_every (fewer at the end), so the local half substeps
+    close at every sample.  A blow-up is re-raised carrying the partial
+    trace.
     """
     grid = state.grid
     if dt is None:

@@ -82,15 +82,15 @@ TINY_DIGESTS = {
     "solve/sweep.csv":
         "c34b5a8e813b42eba83d39b0849c97f37e4a54a220f60bfb195762fdfb4ae85b",
     "evolve/evolve.txt":
-        "a4e9c5838d966ea2b6d0889f789525b231eb0d2eae857aa72c2996b43611d090",
+        "fbdcb1a9f187ffd6f20005fe11d1cc9e6a1b821dd5a647319f3fba0eef92c04e",
     "evolve/trace_amplitude_eps0.01.csv":
-        "8ea9f4305b665c36be1848d20fc6f96434d48b60fe2793fe52325e205abe2eb3",
+        "b63dfa6203fb703d403c5aec3cedfdd3dcc04d23d5d2addbda36a4cc29e0a7e0",
     "evolve/trace_noise_eps0.01.csv":
-        "38e6a9952eba9c45c3473b91d111c417e464a4a06047a4c3f8bb583c72f5f388",
+        "682e4231721b900ad8edb2a26a70454a2679536ea52a41eaec36bdade7a441d5",
     "evolve/trace_unperturbed.csv":
-        "ab33b38700e95b29899ee75adffcbb2e9d5cce44f88e1734a1a8369c8bf58b06",
+        "c8cf610045e40eb3cceeb73072a1b2914e569c7d46fbb0e5fb6ad3956e146d47",
     "evolve/trace_velocity_eps0.01.csv":
-        "2a52a8f94d4d20087c15325f7a4443ea5e956dd4a21859dca35bce4d43227866",
+        "41889271c5afcdfa06a37093e3ccc237268888d36236320dd6315031d144284f",
 }
 
 

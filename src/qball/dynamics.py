@@ -24,10 +24,10 @@ The local part leaves |psi| and rho unchanged, so phi stays exact during
 it, and one Gauss solve after each wave part restores the constraint.
 One step is a symmetric split: a local half substep, the wave part, the
 Gauss solve, the mirrored local half substep, then an absorbing sponge
-on Pi over the outer tenth of the grid.  The composition is second
-order and time-reversible away from the sponge.  step advances n steps
-at once and merges the closing local half substep of each step with the
-opening one of the next into one full substep (the leapfrog
+on Pi over the outer SPONGE_FRACTION of the grid.  The composition is
+second order and time-reversible away from the sponge.  step advances
+n steps at once and merges the closing local half substep of each step
+with the opening one of the next into one full substep (the leapfrog
 first-same-as-last form of the Strang split), so n steps cost n + 1
 local substeps and n Gauss solves; n = 1 is the plain split step.
 evolve advances one such chunk per sample interval, so the half
@@ -39,9 +39,9 @@ exp(-ix), x = q phi tau, comes from its four-term series while
 max |x| < SERIES_RANGE (the truncation error, x^4/24, is then below
 3e-15) and from the closed form otherwise.  The Gauss solve inside a
 step skips solve_poisson's input checks, and the sponge's damping and
-loss weights are built once per (grid, dt) by RadialGrid.sponge_factors.
-evolve takes Pi and d_r psi once per sample and shares them between E,
-C and d.
+loss weights are built once per call of step, so once per chunk of n
+steps.  The monitors read Pi where the state stores it; evolve takes
+d_r psi once per sample and shares it between E and d.
 """
 
 import dataclasses
@@ -54,6 +54,8 @@ from .fields import (energy_norm, fan_out, gauss_potential, norm_sq,
 CFL_LIMIT = 0.5           # dt must stay below this times dr
 DEFAULT_DT_FACTOR = 0.2
 SERIES_RANGE = 5e-4       # max |x| up to which exp(-ix) uses its series
+SPONGE_FRACTION = 0.1     # outer fraction of the grid that absorbs
+SPONGE_SIGMA = 5.0        # peak damping rate of the quintic ramp
 
 PERTURBATION_MODES = ("amplitude", "velocity", "noise")
 
@@ -144,6 +146,21 @@ def _local(spec, q, psi, mod, pi, phi, tau):
     return rot * psi, rot * pi
 
 
+def _sponge(grid, dt):
+    """(start, damp, loss) of one sponge pass of length dt.
+
+    The absorption rate is a quintic ramp up to SPONGE_SIGMA over the
+    outer SPONGE_FRACTION of the grid; only nodes from start on absorb.
+    damp = exp(-rate dt) scales Pi there, and loss = w (1 - damp^2) / 2
+    weighs |Pi|^2 into the energy the pass removes.
+    """
+    r_start = (1.0 - SPONGE_FRACTION) * grid.r_max
+    start = int(np.searchsorted(grid.r, r_start, side="right"))
+    x = np.minimum((grid.r[start:] - r_start) / (grid.r_max - r_start), 1.0)
+    damp = np.exp(-(SPONGE_SIGMA * x ** 5) * dt)
+    return start, damp, 0.5 * grid.w[start:] * (1.0 - damp ** 2)
+
+
 def step(state, dt, n=1):
     """Advance n symmetric split steps of size dt; returns a new state.
 
@@ -160,7 +177,7 @@ def step(state, dt, n=1):
     if n < 1:
         raise ValueError("the step count n must be at least 1")
     half = 0.5 * dt
-    start, damp, loss = grid.sponge_factors(dt)
+    start, damp, loss = _sponge(grid, dt)
 
     psi, pi = _local(spec, q, state.psi, np.abs(state.psi), state.pi,
                      state.phi, half)
@@ -204,50 +221,41 @@ def lift_profile(profile, spec):
     return DynState(grid, spec, profile.q, psi, pi, phi, e_r)
 
 
-def _monitor_terms(state):
-    """D_t psi and d_r psi, the terms E, C and d of one state share."""
-    return state.pi, state.grid.d_dr(state.psi)
+def _norm_terms(pi, dpsi, psi, e_r):
+    """(k2, s) of fields.norm_sq: |pi|^2 + |dpsi|^2 + e_r^2 and |psi|."""
+    return np.abs(pi) ** 2 + np.abs(dpsi) ** 2 + e_r ** 2, np.abs(psi)
 
 
-def _norm_terms(chi, dpsi, psi, e_r):
-    """(k2, s) of fields.norm_sq: |chi|^2 + |dpsi|^2 + e_r^2 and |psi|."""
-    return np.abs(chi) ** 2 + np.abs(dpsi) ** 2 + e_r ** 2, np.abs(psi)
-
-
-def _energy(state, chi, dpsi):
+def _energy(state, dpsi):
     return energy_norm(state.spec, state.grid.w,
-                       *_norm_terms(chi, dpsi, state.psi, state.e_r))[0]
+                       *_norm_terms(state.pi, dpsi, state.psi, state.e_r))[0]
 
 
 def dyn_energy(state):
     """E = (1/2) int (|D_t psi|^2 + |d_r psi|^2 + E_r^2) + int W(|psi|)."""
-    return _energy(state, *_monitor_terms(state))
-
-
-def _charge(state, chi):
-    return float(state.grid.w @ np.imag(chi * np.conj(state.psi)))
+    return _energy(state, state.grid.d_dr(state.psi))
 
 
 def dyn_charge(state):
     """C = int Im(D_t psi conj(psi)), the hylenic charge."""
-    return _charge(state, state.pi)
+    return float(state.grid.w @ np.imag(state.pi * np.conj(state.psi)))
 
 
 def dyn_norm_sq(state):
     """int (|D_t psi|^2 + |d_r psi|^2 + m^2 |psi|^2 + E_r^2)."""
-    return norm_sq(state.spec, state.grid.w,
-                   *_norm_terms(*_monitor_terms(state), state.psi, state.e_r))
+    return norm_sq(state.spec, state.grid.w, *_norm_terms(
+        state.pi, state.grid.d_dr(state.psi), state.psi, state.e_r))
 
 
-def _distance(state, chi, dpsi, ref, chi0, dpsi0):
+def _distance(state, dpsi, ref, dpsi0):
     g = state.grid
     m2 = state.spec.m ** 2
-    z = complex(g.w @ (chi * np.conj(chi0) + dpsi * np.conj(dpsi0)
+    z = complex(g.w @ (state.pi * np.conj(ref.pi) + dpsi * np.conj(dpsi0)
                        + m2 * state.psi * np.conj(ref.psi)))
     rot = z / abs(z) if z != 0.0 else 1.0
     d2 = norm_sq(state.spec, g.w, *_norm_terms(
-        chi - rot * chi0, dpsi - rot * dpsi0, state.psi - rot * ref.psi,
-        state.e_r - ref.e_r))
+        state.pi - rot * ref.pi, dpsi - rot * dpsi0,
+        state.psi - rot * ref.psi, state.e_r - ref.e_r))
     return np.sqrt(max(d2, 0.0))
 
 
@@ -258,8 +266,8 @@ def orbit_distance(state, ref):
     phase of the cross inner product, and the distance is evaluated as
     an explicit difference so near-identical states do not cancel.
     """
-    return _distance(state, *_monitor_terms(state), ref,
-                     *_monitor_terms(ref))
+    return _distance(state, state.grid.d_dr(state.psi), ref,
+                     ref.grid.d_dr(ref.psi))
 
 
 def perturb(state, mode, eps, seed=0):
@@ -345,29 +353,32 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
     Translation minimization is trivial in the radial sector and is not
     searched.  Each sample interval is one call of step with
     n = sample_every (fewer at the end), so the local half substeps
-    close at every sample.  A blow-up is re-raised carrying the partial
-    trace.
+    close at every sample.  dt defaults to DEFAULT_DT_FACTOR dr, and
+    sample_every must be a whole number of at least 1.  A blow-up is
+    re-raised carrying the partial trace.
     """
     grid = state.grid
     if dt is None:
         dt = DEFAULT_DT_FACTOR * grid.dr
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    sample_every = max(1, int(sample_every))
+    if sample_every < 1 or sample_every % 1:
+        raise ValueError("sample_every must be a whole number of at least 1")
+    sample_every = int(sample_every)
     ref = reference if reference is not None else state.clone()
-    ref_terms = _monitor_terms(ref)
-    e0, c0 = _energy(ref, *ref_terms), _charge(ref, ref_terms[0])
+    dpsi0 = ref.grid.d_dr(ref.psi)
+    e0, c0 = _energy(ref, dpsi0), dyn_charge(ref)
     n_steps = int(round(T / dt))
     cols = {name: [] for name in TRACE_COLUMNS}
 
     def sample(s):
-        chi, dpsi = _monitor_terms(s)
-        e, c = _energy(s, chi, dpsi), _charge(s, chi)
+        dpsi = grid.d_dr(s.psi)
+        e, c = _energy(s, dpsi), dyn_charge(s)
         cols["t"].append(s.t)
         cols["E"].append(e)
         cols["C"].append(c)
         cols["V"].append((e - e0) ** 2 + (c - c0) ** 2)
-        cols["d"].append(_distance(s, chi, dpsi, ref, *ref_terms))
+        cols["d"].append(_distance(s, dpsi, ref, dpsi0))
         cols["max_psi"].append(float(np.max(np.abs(s.psi))))
         cols["sponge_flux"].append(s.sponge_flux)
 
@@ -391,8 +402,9 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
 class ProbeRun:
     """One evolution of the probe: its trace, growth ratio and label.
 
-    The unperturbed run has mode None and eps 0.  A blown-up run keeps
-    its BlowUpError as failure, its partial trace and NaN distances.
+    The unperturbed run has mode None and eps 0 and stands for every
+    mode's eps = 0.  A blown-up run keeps its BlowUpError as failure,
+    its partial trace and NaN distances.
     """
     name: str
     mode: str | None
@@ -407,21 +419,10 @@ class ProbeRun:
 
 @dataclasses.dataclass
 class StabilityReport:
-    runs: list                # every evolution once, in plan order
-    modes: tuple
-    eps_list: tuple
-    profile_norm: float
-    T: float
-    dt: float
+    """The probe's runs and the profile norm their growth ratios divide by."""
 
-    @property
-    def rows(self):
-        """One run per (mode, eps), modes x eps_list; eps = 0 rows are
-        the unperturbed run under each mode's name."""
-        runs = {(run.mode, run.eps): run for run in self.runs}
-        return [dataclasses.replace(runs[None, 0.0], mode=mode)
-                if eps == 0.0 else runs[mode, eps]
-                for mode in self.modes for eps in self.eps_list]
+    runs: list                # every evolution once, in plan order
+    profile_norm: float
 
 
 def classify_ratio(ratio):
@@ -454,10 +455,10 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
 
     The plan is one "unperturbed" run when 0 is in eps_list, then one
     run per (mode, nonzero eps) in modes x eps_list order, named
-    "<mode>_eps<eps>"; run k >= 1 draws its noise from seed + k.  Every
-    mode's eps = 0 row reuses the unperturbed run, since perturb(..., 0)
-    is a clone whatever the mode.  Runs fan out over `workers`
-    processes; the report does not depend on their number.
+    "<mode>_eps<eps>"; run k >= 1 draws its noise from seed + k.  One
+    unperturbed run serves every mode, since perturb(..., 0) is a clone
+    whatever the mode.  dt = None takes evolve's default.  Runs fan out
+    over `workers` processes; the report does not depend on their number.
 
     The ratio max_t d(t) / (eps ||profile||) is classified stable-like
     below 10, marginal below 100, unstable-like above; a blow-up is
@@ -467,8 +468,6 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
         raise ValueError("modes and eps_list must not repeat")
     base = lift_profile(profile, spec)
     norm = float(np.sqrt(dyn_norm_sq(base)))
-    if dt is None:
-        dt = DEFAULT_DT_FACTOR * base.grid.dr
     kicks = [(mode, eps) for mode in modes for eps in eps_list if eps != 0.0]
     plan = [(f"{mode}_eps{eps:g}", mode, eps, seed + k)
             for k, (mode, eps) in enumerate(kicks, start=1)]
@@ -476,5 +475,4 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
         plan.insert(0, ("unperturbed", None, 0.0, seed))
     jobs = [(base, norm, T, dt, sample_every) + run for run in plan]
     runs = fan_out(_probe_run, jobs, workers)
-    return StabilityReport(runs, tuple(modes), tuple(eps_list), norm,
-                           float(T), float(dt))
+    return StabilityReport(runs, norm)

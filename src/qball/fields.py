@@ -25,8 +25,6 @@ import dataclasses
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
-SPONGE_FRACTION = 0.1     # outer fraction of the grid that absorbs
-SPONGE_SIGMA = 5.0        # peak damping rate of the quintic ramp
 
 PROFILE_COLUMNS = ("r", "u", "u_hat", "theta", "Theta", "E_r", "phi")
 
@@ -36,7 +34,10 @@ class ZeroShellChargeError(ValueError):
 
 
 class RadialGrid:
-    """Uniform radial mesh with quadrature weights for 3D radial integrals."""
+    """Uniform radial mesh with quadrature weights for 3D radial integrals.
+
+    Everything it holds is fixed by (r_max, n); it keeps no state of a run.
+    """
 
     def __init__(self, r_max=40.0, n=4000):
         if n < 3:
@@ -86,10 +87,6 @@ class RadialGrid:
         self.wt = self.w.copy()
         self.wt[0] = self.cell_vol[0]
         self.wt[-1] = 2.0 * self.wt[-1]
-        # absorbing-sponge rate: a quintic ramp over the outer SPONGE_FRACTION
-        r_start = (1.0 - SPONGE_FRACTION) * self.r_max
-        x = np.clip((self.r - r_start) / (self.r_max - r_start), 0.0, 1.0)
-        self.sponge = SPONGE_SIGMA * x ** 5
         # the stencil's coefficients on the interleaved (re, im) view of a
         # complex field, each value twice; the row scale and the origin's
         # 1/dr^2 as the reciprocals numpy's complex-by-real division uses
@@ -97,10 +94,9 @@ class RadialGrid:
         self._pair_rm2 = np.repeat(self._rm2, 2)
         self._pair_inv_scale = np.repeat(1.0 / self.dr2_r2, 2)
         self._inv_dr2 = 1.0 / self.dr ** 2
-        for a in (self.r2, self.dr2_r2, self.wt, self.sponge, self._pair_rp2,
+        for a in (self.r2, self.dr2_r2, self.wt, self._pair_rp2,
                   self._pair_rm2, self._pair_inv_scale):
             a.flags.writeable = False
-        self._sponge_dt = None
 
     def __eq__(self, other):
         return (isinstance(other, RadialGrid)
@@ -141,22 +137,6 @@ class RadialGrid:
         out[2:] *= self._pair_inv_scale
         out[:2] = 6.0 * (v[2:4] - v[:2]) * self._inv_dr2
         return out.view(complex)
-
-    def sponge_factors(self, dt):
-        """(start, damp, loss) of one sponge pass of length dt.
-
-        Only nodes from start on absorb: damp = exp(-sponge dt) scales pi
-        there, and loss = w (1 - damp^2) / 2 weighs |pi|^2 into the energy
-        the pass removes.  Kept for the last dt asked.
-        """
-        if dt != self._sponge_dt:
-            start = int(np.flatnonzero(self.sponge)[0])
-            damp = np.exp(-self.sponge[start:] * dt)
-            loss = 0.5 * self.w[start:] * (1.0 - damp ** 2)
-            damp.flags.writeable = loss.flags.writeable = False
-            self._sponge = (start, damp, loss)
-            self._sponge_dt = dt
-        return self._sponge
 
 
 @dataclasses.dataclass

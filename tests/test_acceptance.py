@@ -246,18 +246,18 @@ def test_criterion_09_stability_probe(spec, profile_q5):
     report = stability_probe(profile_q5, spec, [0.01], T=200.0,
                              sample_every=50)
     elapsed = time.monotonic() - t0
-    for row in report.rows:
+    for row in report.runs:
         print(f"criterion 9 report: mode={row.mode} eps={row.eps:g} "
               f"max_distance={row.max_distance:.4e} ratio={row.max_ratio:.3f} "
               f"-> {row.classification}"
               + (f" ({row.failure})" if row.failure else ""))
 
-    ok = (all(row.failure is None for row in report.rows)
-          and all(row.max_ratio <= 10.0 for row in report.rows)
+    ok = (all(row.failure is None for row in report.runs)
+          and all(row.max_ratio <= 10.0 for row in report.runs)
           and elapsed < 600.0)
-    worst = max(row.max_ratio for row in report.rows)
+    worst = max(row.max_ratio for row in report.runs)
     line = _verdict(9, ok, f"worst growth ratio {worst:.3f} across "
-                           f"{len(report.rows)} modes, {elapsed:.0f}s")
+                           f"{len(report.runs)} modes, {elapsed:.0f}s")
     assert ok, line
 
 

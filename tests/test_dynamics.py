@@ -8,6 +8,8 @@ the splitting.  Conservation drifts are asserted at the bounds the
 integrator is expected to hold at the default resolution.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from qball.dynamics import (
     DynState,
     PERTURBATION_MODES,
     SERIES_RANGE,
+    SPONGE_FRACTION,
+    SPONGE_SIGMA,
     TRACE_COLUMNS,
     constrain,
     dyn_charge,
@@ -31,6 +35,7 @@ from qball.dynamics import (
     step,
     _local,
     _plain_distance,
+    _sponge,
 )
 from qball.fields import RadialGrid
 from qball.solver import solve_profile
@@ -267,20 +272,58 @@ def test_sponge_absorbs_outgoing_radiation(spec, grid):
     assert abs(dyn_energy(cur) + cur.sponge_flux - e0) < 0.05 * e0
 
 
+def test_sponge_is_an_outer_ramp(grid):
+    r_start = (1.0 - SPONGE_FRACTION) * grid.r_max
+    x = np.clip((grid.r - r_start) / (grid.r_max - r_start), 0.0, 1.0)
+    rate = SPONGE_SIGMA * x ** 5
+    assert np.all(np.diff(rate) >= 0.0)
+    assert rate[-1] == SPONGE_SIGMA
+    for dt in (0.002, 0.004):
+        start, damp, loss = _sponge(grid, dt)
+        # absorption starts at the first node past 0.9 r_max
+        assert grid.r[start - 1] <= 0.9 * grid.r_max < grid.r[start]
+        assert not np.any(rate[:start]) and np.all(rate[start:] > 0.0)
+        # the rates never decrease and peak at SPONGE_SIGMA
+        assert np.all(np.diff(damp) <= 0.0)
+        assert damp.min() == damp[-1] == np.exp(-SPONGE_SIGMA * dt)
+        assert np.array_equal(damp, np.exp(-rate[start:] * dt))
+        assert np.array_equal(loss, 0.5 * grid.w[start:] * (1.0 - damp ** 2))
+
+
+def test_evolution_leaves_its_grid_as_built(spec, charged_profile):
+    lift = lift_profile(charged_profile, spec)
+    evolve(lift, 0.05)
+    g = lift.grid
+    assert pickle.dumps(g) == pickle.dumps(RadialGrid(g.r_max, g.n))
+
+
+@pytest.mark.parametrize("sample_every", [0, -3, 2.9])
+def test_evolve_rejects_a_bad_sample_every(neutral_lift, sample_every):
+    with pytest.raises(ValueError, match="sample_every"):
+        evolve(neutral_lift, 0.05, sample_every=sample_every)
+
+
+def test_evolve_takes_a_whole_float_sample_every(neutral_lift):
+    want = evolve(neutral_lift, 0.05, sample_every=2)
+    got = evolve(neutral_lift, 0.05, sample_every=2.0)
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_stability_probe_neutral(spec, grid, neutral_profile):
     report = stability_probe(neutral_profile, spec, [0.0, 0.005, 0.01],
                              T=10.0, sample_every=20)
-    assert len(report.rows) == 3 * len(PERTURBATION_MODES)
-    for row in report.rows:
-        assert row.failure is None
-        assert row.classification == "stable-like"
+    assert len(report.runs) == 1 + 2 * len(PERTURBATION_MODES)
+    for run in report.runs:
+        assert run.failure is None
+        assert run.classification == "stable-like"
     for mode in PERTURBATION_MODES:
-        rows = [row for row in report.rows if row.mode == mode]
-        eps = [row.eps for row in rows]
-        assert eps == sorted(eps)
-        dmax = [row.max_distance for row in rows]
+        # the unperturbed run is every mode's eps = 0
+        runs = report.runs[:1] + [r for r in report.runs if r.mode == mode]
+        assert [r.eps for r in runs] == [0.0, 0.005, 0.01]
+        dmax = [r.max_distance for r in runs]
         assert all(a <= b for a, b in zip(dmax, dmax[1:]))
-        assert rows[0].max_ratio == 0.0
+        assert runs[0].max_ratio == 0.0
 
 
 def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
@@ -301,10 +344,6 @@ def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
         "unperturbed", "amplitude_eps0.01", "velocity_eps0.01",
         "noise_eps0.01"]
     assert [r.seed for r in report.runs] == [5, 6, 7, 8]
-    assert len(report.rows) == 2 * len(PERTURBATION_MODES)
-    for mode in PERTURBATION_MODES:
-        zero = next(row for row in report.rows if row.mode == mode)
-        assert zero.eps == 0.0 and zero.trace is report.runs[0].trace
 
 
 def _local_fields(n, seed=3):

@@ -275,15 +275,6 @@ def test_complex_laplacian_is_the_complex_stencil(r_max, n, rng):
     assert np.array_equal(g.laplacian(strided), _complex_stencil(g, charged))
 
 
-def test_sponge_is_a_read_only_outer_ramp(grid):
-    inner = grid.r <= (1.0 - fields.SPONGE_FRACTION) * grid.r_max
-    assert not np.any(grid.sponge[inner])
-    assert np.all(np.diff(grid.sponge) >= 0.0)
-    assert grid.sponge[-1] == fields.SPONGE_SIGMA
-    with pytest.raises(ValueError):
-        grid.sponge[-1] = 0.0
-
-
 def _dirichlet(grid, u):
     """The descent's Dirichlet form -(wt u) . laplacian(u)."""
     return -float((grid.wt * u) @ grid.laplacian(u))
@@ -346,15 +337,8 @@ def test_columnar_rows_are_per_value_17g(tmp_path):
 def test_grid_caches_match_their_formulas(grid):
     assert np.array_equal(grid.r2, grid.r ** 2)
     assert np.array_equal(grid.dr2_r2, grid.dr ** 2 * grid.r[1:] ** 2)
-    for dt in (0.002, 0.004, 0.002):
-        start, damp, loss = grid.sponge_factors(dt)
-        assert not np.any(grid.sponge[:start]) and grid.sponge[start] > 0.0
-        assert np.array_equal(damp, np.exp(-grid.sponge[start:] * dt))
-        assert np.array_equal(loss, 0.5 * grid.w[start:] * (1.0 - damp ** 2))
     with pytest.raises(ValueError):
         grid.r2[1] = 0.0
-    with pytest.raises(ValueError):
-        damp[0] = 1.0
 
 
 def test_quadrature_second_order():

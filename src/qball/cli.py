@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import os
 import re
+import shutil
 import sys
 import tempfile
 
@@ -458,6 +459,10 @@ def run(subcommand, config):
         os.rename(stage, out_dir)
         print(f"error: {fail}", file=sys.stderr)
         return 1
+    except BaseException:
+        # an interrupt or exit from a stage leaves no tree, staged or not
+        shutil.rmtree(stage)
+        raise
     os.rename(stage, out_dir)
     return 0
 

@@ -380,9 +380,11 @@ def read_columnar(path):
 
 
 def fan_out(fn, payloads, workers):
-    """[fn(p) for p in payloads] in order, over `workers` processes if > 1."""
+    """[fn(p) for p in payloads] in order, over min(workers, len(payloads))
+    processes if that is > 1: a fork-start pool launches all its workers at
+    the first submit, so the cap keeps idle ones from being forked."""
     if workers <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(fn, payloads))

@@ -20,7 +20,7 @@ mass m certifies that bound states are energetically possible.  The
 coupling threshold q_bar is in closed form, alongside the analytic scale
 (c/s_bar) sqrt((m-alpha)^3 alpha) that the constants imply through
 R = c1/(alpha eps), eps = (m-alpha)/2.  build_test_state samples the
-same state on a grid, as a descent start.
+same state on a grid; its (u, theta) can start a descent.
 """
 
 import dataclasses

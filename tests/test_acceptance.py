@@ -174,7 +174,7 @@ def test_criterion_05_stationary_residuals(spec, grid, threshold_run,
 
     alpha, s_bar = hylomorphy_constants(spec)
     trial = build_test_state(TestStateParams(s_bar, alpha, 10.0, q5), grid)
-    flow = minimize_J(spec, q5, 2e-4, trial)
+    flow = minimize_J(spec, q5, grid, 2e-4, trial.u, trial.theta)
 
     polished = solve_profile(spec, flow.omega, q5, grid,
                              init_u=flow.state.u)
@@ -216,8 +216,10 @@ def test_criterion_06_family_hylomorphy(spec, grid):
 def test_criterion_07_penalty_separates_minimizers(spec, grid):
     opts = SolveOptions(flow_max_iter=20000)
     q = 1e-3
-    sol1 = minimize_J(spec, q, 1e-3, descent_seed(spec, q, grid), opts=opts)
-    sol2 = minimize_J(spec, q, 1e-2, descent_seed(spec, q, grid), opts=opts)
+    sol1 = minimize_J(spec, q, grid, 1e-3, *descent_seed(spec, grid),
+                      opts=opts)
+    sol2 = minimize_J(spec, q, grid, 1e-2, *descent_seed(spec, grid),
+                      opts=opts)
     sep = abs(sol1.E - sol2.E) / sol1.E
 
     ok = sep > 1e-3

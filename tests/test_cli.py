@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qball import hylomorphy
+from qball import cli, hylomorphy
 from qball.cli import _SCHEMA, ConfigError, main, parse_config, run
 from qball.dynamics import PERTURBATION_MODES, stability_probe
 from qball.fields import RadialGrid
@@ -631,6 +632,22 @@ def test_existing_out_dir_refused(tmp_path):
     assert sorted(os.listdir(tmp_path / "out")) == before
 
 
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_interrupted_run_leaves_no_stage(tmp_path, monkeypatch, interrupt):
+    def body(cfg, stage):
+        open(os.path.join(stage, "partial.txt"), "w").close()
+        raise interrupt()
+
+    monkeypatch.setitem(cli._DISPATCH, "check-potential",
+                        [("potential", "check_admissibility", body)])
+    cfg = parse_config(_small(tmp_path, "out"))
+    with pytest.raises(interrupt):
+        run("check-potential", cfg)
+    assert not (tmp_path / "out").exists()
+    assert not [name for name in os.listdir(tmp_path)
+                if name.startswith(".qball-stage-")]
+
+
 def test_failure_record(tmp_path):
     path = _cfg(tmp_path, f"""
         [potential]
@@ -685,6 +702,49 @@ def test_artifact_digests_frozen(tmp_path):
             digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
             got[f"{sub}/{name}"] = digest
     assert got == TINY_DIGESTS
+
+
+# sha256 of the solve artifacts of the _tiny grid and coupling with one
+# omega point and one descent (delta) point, taken like TINY_DIGESTS; no
+# TINY_DIGESTS entry covers the descent route
+DELTA_DIGESTS = {
+    "profile_delta0.0002_q0.01.txt":
+        "bd70179b3f505ca1e93d0d0991c3650fea4acbbd3db7ffd7faafe77c31460131",
+    "profile_omega0.8_q0.01.txt":
+        "cf27a2ce0370bf06c31cdc5557db864167264f770ec791618a6fb1474c0902c5",
+    "solve.txt":
+        "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
+    "sweep.csv":
+        "ac26b9b6bcffb686963663f2d6cad399583462ab28bf98c3367af9da23583a99",
+}
+
+
+def test_descent_artifact_digests_frozen(tmp_path):
+    path = _cfg(tmp_path, """
+        [grid]
+        r_max = 20.0
+        n = 600
+
+        [charge]
+        q = 0.01
+
+        [solver]
+        omega_list = 0.8
+        delta_list = 2e-4
+        """)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    # one visible-tail warning per point: the grid is deliberately small
+    assert [w.category for w in caught] == [RuntimeWarning] * 2
+    assert _read_kv(out / "solve.txt")["n_ok"] == "2"
+    with open(out / "sweep.csv") as f:
+        flow_iters = [row["flow_iters"] for row in csv.DictReader(f)]
+    assert flow_iters == ["74", "none"]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in sorted(os.listdir(out))}
+    assert got == DELTA_DIGESTS
 
 
 def test_solve_descent_residual_failure(tmp_path):

@@ -356,3 +356,26 @@ def test_quadrature_second_order():
     order = np.log2(abs(e1 - e2) / abs(e2 - e3))
     print("quadrature order", order, vals)
     assert order >= 1.9
+
+
+def test_fan_out_starts_no_more_workers_than_payloads(monkeypatch):
+    # a fork-start pool launches all max_workers at its first submit
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert fields.fan_out(abs, [-1, -2], 64) == [1, 2]
+    assert seen == [2]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qball import solver
-from qball.fields import FieldState, RadialGrid, functionals, gauss_residual
+from qball.fields import FieldState, RadialGrid, functionals
 from qball.hylomorphy import TestStateParams, build_test_state, exact_coulomb_field
 from qball.potential import PotentialSpec
 from qball.solver import (
@@ -23,7 +23,6 @@ from qball.solver import (
     SolveOptions,
     descent_seed,
     family_sweep,
-    flow_state,
     j_functional,
     minimize_J,
     newton_polish,
@@ -75,7 +74,8 @@ def flow_seed(spec, grid):
 
 @pytest.fixture(scope="module")
 def flow_profile(spec, grid, flow_seed):
-    return minimize_J(spec, FLOW_Q, FLOW_DELTA, flow_seed)
+    return minimize_J(spec, FLOW_Q, grid, FLOW_DELTA, flow_seed.u,
+                      flow_seed.theta)
 
 
 @pytest.fixture(scope="module")
@@ -398,30 +398,26 @@ def test_flow_agrees_with_direct_after_polish(spec, grid, flow_profile):
 
 def test_flow_branch_symmetry(spec, grid, flow_seed, flow_profile):
     # starting from the opposite charge branch lands on the same profile
-    mirrored = flow_state(FLOW_Q, grid, flow_seed.u, -flow_seed.theta)
-    m2 = minimize_J(spec, FLOW_Q, FLOW_DELTA, mirrored)
+    m2 = minimize_J(spec, FLOW_Q, grid, FLOW_DELTA, flow_seed.u,
+                    -flow_seed.theta)
     assert abs(m2.E - flow_profile.E) < 1e-9 * flow_profile.E
     assert abs(m2.omega - flow_profile.omega) < 1e-9
 
 
 def test_flow_rejects_bad_initial_states(spec, grid, flow_seed):
-    with pytest.raises(ValueError):
-        minimize_J(spec, FLOW_Q, FLOW_DELTA, FieldState.zero(grid, FLOW_Q))
-    bad = flow_seed.clone()
-    bad.E_r = np.zeros(grid.n)
-    with pytest.raises(ValueError):
-        minimize_J(spec, FLOW_Q, FLOW_DELTA, bad)
-    with pytest.raises(TypeError):
-        minimize_J(spec, FLOW_Q, FLOW_DELTA, (flow_seed.u, flow_seed.theta))
-    with pytest.raises(ValueError):
-        minimize_J(spec, FLOW_Q, -1e-3, flow_seed)
+    zero = np.zeros(grid.n)
+    with pytest.raises(ValueError, match="nonzero charge"):
+        minimize_J(spec, FLOW_Q, grid, FLOW_DELTA, zero, zero)
+    with pytest.raises(ValueError, match="nonnegative"):
+        minimize_J(spec, FLOW_Q, grid, -1e-3, flow_seed.u, flow_seed.theta)
 
 
 def test_flow_charge_floor_collapse(spec, grid, flow_seed, monkeypatch):
     # a floor above the initial charge blocks every step immediately
     monkeypatch.setattr(solver, "CHARGE_FLOOR", 2.0)
     with pytest.raises(ChargeCollapseError):
-        minimize_J(spec, FLOW_Q, FLOW_DELTA, flow_seed)
+        minimize_J(spec, FLOW_Q, grid, FLOW_DELTA, flow_seed.u,
+                   flow_seed.theta)
 
 
 def test_flow_gradient_matches_finite_differences(spec, grid, flow_seed, rng):
@@ -451,8 +447,10 @@ def test_penalty_weights_separate_energies(spec, grid, flow_seed):
     # beyond the penalty ceiling the descent drifts toward the vacuum
     # and stalls; the two stall states still have well separated energies
     opts = SolveOptions(flow_max_iter=20000)
-    m1 = minimize_J(spec, FLOW_Q, 1e-3, flow_seed, opts=opts)
-    m2 = minimize_J(spec, FLOW_Q, 1e-2, flow_seed, opts=opts)
+    m1 = minimize_J(spec, FLOW_Q, grid, 1e-3, flow_seed.u, flow_seed.theta,
+                    opts=opts)
+    m2 = minimize_J(spec, FLOW_Q, grid, 1e-2, flow_seed.u, flow_seed.theta,
+                    opts=opts)
     assert abs(m1.E - m2.E) / m1.E > 1e-3
     assert m1.E > m2.E
     # both runs are in the drift regime: residuals reflect it honestly
@@ -522,8 +520,8 @@ def test_descent_out_of_iterations_raises(spec):
     grid = RadialGrid(20.0, 600)
     with pytest.raises(ConvergenceError,
                        match="descent stopped after 50 iterations"):
-        minimize_J(spec, FLOW_Q, 2e-4, descent_seed(spec, FLOW_Q, grid),
-                   SolveOptions(flow_max_iter=50))
+        minimize_J(spec, FLOW_Q, grid, 2e-4, *descent_seed(spec, grid),
+                   opts=SolveOptions(flow_max_iter=50))
 
 
 def test_family_sweep_default(default_sweep):
@@ -593,10 +591,11 @@ def test_descent_point_warns_once_for_its_tail(spec):
 
 
 def test_descent_seed_is_admissible(spec, grid):
-    # the default seed passes the constraint screen of the descent
-    seed = descent_seed(spec, 0.5, grid)
-    assert seed.q == 0.5
-    assert np.max(np.abs(gauss_residual(seed))) < 1e-8
+    # the default seed is a start the descent accepts: u vanishes at
+    # r_max and the pair carries positive charge
+    u, theta = descent_seed(spec, grid)
+    assert u[-1] == 0.0
+    assert np.dot(grid.w, theta * u) > 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

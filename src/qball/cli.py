@@ -399,7 +399,9 @@ def _run_evolve(cfg, stage):
 
     runs = sorted(report.runs, key=lambda r: r.name)
     unperturbed = next(r for r in runs if r.mode is None)
-    summary = [("q", q), ("omega", omega), ("T", cfg.T),
+    dt = unperturbed.trace.dt
+    summary = [("q", q), ("omega", omega), ("T", cfg.T), ("dt", dt),
+               ("steps", int(round(cfg.T / dt))),
                ("n_runs", len(runs)), ("profile_norm", report.profile_norm),
                ("unperturbed_rel_distance",
                 unperturbed.max_distance / report.profile_norm)]

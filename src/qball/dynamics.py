@@ -52,7 +52,7 @@ from .fields import (energy_norm, fan_out, gauss_potential, norm_sq,
                      solve_poisson)
 
 CFL_LIMIT = 0.5           # dt must stay below this times dr
-DEFAULT_DT_FACTOR = 0.2
+DEFAULT_DT_FACTOR = 0.3   # default dt in units of dr; see evolve
 SERIES_RANGE = 5e-4       # max |x| up to which exp(-ix) uses its series
 SPONGE_FRACTION = 0.1     # outer fraction of the grid that absorbs
 SPONGE_SIGMA = 5.0        # peak damping rate of the quintic ramp
@@ -328,7 +328,7 @@ def _plain_distance(state, ref):
 
 @dataclasses.dataclass
 class EvolutionTrace:
-    """Sampled conservation monitors along one evolution."""
+    """Sampled conservation monitors along one evolution, and its step."""
 
     t: np.ndarray
     E: np.ndarray
@@ -339,6 +339,7 @@ class EvolutionTrace:
     sponge_flux: np.ndarray
     e0: float
     c0: float
+    dt: float                 # the step the evolution took
 
     def columns(self):
         return {name: getattr(self, name) for name in TRACE_COLUMNS}
@@ -353,9 +354,13 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
     Translation minimization is trivial in the radial sector and is not
     searched.  Each sample interval is one call of step with
     n = sample_every (fewer at the end), so the local half substeps
-    close at every sample.  dt defaults to DEFAULT_DT_FACTOR dr, and
-    sample_every must be a whole number of at least 1.  A blow-up is
-    re-raised carrying the partial trace.
+    close at every sample, which lie sample_every dt apart in time.  dt
+    defaults to DEFAULT_DT_FACTOR dr = 0.3 dr: there the split step's
+    bounded O(dt^2) offset from a stationary orbit stays below the grid's
+    own error (the lift on n nodes against the lift on 2n - 1), so a
+    smaller step buys no accuracy the grid keeps.  The trace records the
+    dt taken.  sample_every must be a whole number of at least 1.  A
+    blow-up is re-raised carrying the partial trace.
     """
     grid = state.grid
     if dt is None:
@@ -384,7 +389,7 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
 
     def build():
         return EvolutionTrace(*(np.array(cols[name]) for name in TRACE_COLUMNS),
-                              e0=e0, c0=c0)
+                              e0=e0, c0=c0, dt=dt)
 
     sample(state)
     current = state

@@ -16,7 +16,8 @@ import pytest
 
 from qball import cli, hylomorphy
 from qball.cli import _SCHEMA, ConfigError, main, parse_config, run
-from qball.dynamics import PERTURBATION_MODES, stability_probe
+from qball.dynamics import (DEFAULT_DT_FACTOR, PERTURBATION_MODES,
+                            stability_probe)
 from qball.fields import RadialGrid
 from qball.potential import default_potential
 from qball.solver import (DEFAULT_OMEGA_LIST, SolveOptions, family_sweep,
@@ -83,15 +84,15 @@ TINY_DIGESTS = {
     "solve/sweep.csv":
         "c34b5a8e813b42eba83d39b0849c97f37e4a54a220f60bfb195762fdfb4ae85b",
     "evolve/evolve.txt":
-        "fbdcb1a9f187ffd6f20005fe11d1cc9e6a1b821dd5a647319f3fba0eef92c04e",
+        "b1c676945ab5fe565ebed3c40a87c80e3f0316e6abaca364494149d55b7169e8",
     "evolve/trace_amplitude_eps0.01.csv":
-        "b63dfa6203fb703d403c5aec3cedfdd3dcc04d23d5d2addbda36a4cc29e0a7e0",
+        "15a7d3eebca0e3d3ba2a31fffbaf77efca79d7dc6635c66dfa226c066d3b6a89",
     "evolve/trace_noise_eps0.01.csv":
-        "682e4231721b900ad8edb2a26a70454a2679536ea52a41eaec36bdade7a441d5",
+        "01653c62f835a04603d041566112f9155881c30c17d040f41d8a12e46c1598d7",
     "evolve/trace_unperturbed.csv":
-        "c8cf610045e40eb3cceeb73072a1b2914e569c7d46fbb0e5fb6ad3956e146d47",
+        "b146aae11404bf1e0abf747cd387e6bbf733d93caca09d6cfa8a0a3b34898ef9",
     "evolve/trace_velocity_eps0.01.csv":
-        "41889271c5afcdfa06a37093e3ccc237268888d36236320dd6315031d144284f",
+        "3f4a73bdc823c05f615a102f5cc1147735a80dc33a1887d5a5db425c0a2a7bea",
 }
 
 
@@ -580,6 +581,11 @@ def test_evolve_report_is_the_probe_report(tmp_path):
     assert float(written["profile_norm"]) == report.profile_norm
     unperturbed = report.runs[0]
     assert unperturbed.mode is None
+    # the step evolve resolved, and the number of steps it took
+    assert cfg.dt is None
+    assert float(written["dt"]) == unperturbed.trace.dt \
+        == DEFAULT_DT_FACTOR * cfg.grid().dr
+    assert written["steps"] == str(round(cfg.T / unperturbed.trace.dt))
     assert float(written["unperturbed_rel_distance"]) \
         == unperturbed.max_distance / report.profile_norm
     for r in report.runs:

@@ -16,6 +16,7 @@ import pytest
 from qball import dynamics
 from qball.dynamics import (
     BlowUpError,
+    CFL_LIMIT,
     DEFAULT_DT_FACTOR,
     DynState,
     PERTURBATION_MODES,
@@ -109,12 +110,14 @@ def test_liapunov_monitor_bit_consistency(neutral_trace):
     assert np.array_equal(tr.V, again)
 
 
-def test_trace_shape(neutral_trace):
+def test_trace_shape(neutral_trace, grid):
     cols = neutral_trace.columns()
     assert tuple(cols) == TRACE_COLUMNS
     lengths = {len(v) for v in cols.values()}
     assert len(lengths) == 1
     assert np.all(np.diff(neutral_trace.t) > 0)
+    # the trace records the default step it took
+    assert neutral_trace.dt == DEFAULT_DT_FACTOR * grid.dr
 
 
 def test_step_zero_field(spec, grid):
@@ -133,6 +136,38 @@ def test_step_validation(spec, grid):
         step(st, 0.0)
     with pytest.raises(ValueError):
         step(st, 0.6 * grid.dr)
+
+
+def test_cfl_limit_is_inside_the_wave_stability_region():
+    # diag(wt) lap is symmetric, so wt^(1/2) lap wt^(-1/2) has the real
+    # spectrum of lap; the origin row sets its spectral radius rho, so
+    # rho dr^2 is the same on every grid, and the drift-kick-drift wave
+    # part is stable for dt < 2 / sqrt(rho) (leapfrog), about 0.79 dr
+    for n in (200, 2000):
+        grid = RadialGrid(40.0, n)
+        _, diag, upper = grid.lap_bands
+        s = np.sqrt(grid.wt)
+        off = s[:-1] * upper[:-1] / s[1:]
+        sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        rho_dr2 = np.max(np.abs(np.linalg.eigvalsh(sym))) * grid.dr ** 2
+        assert abs(rho_dr2 - 6.4164) < 1e-4, n
+        assert DEFAULT_DT_FACTOR < CFL_LIMIT < 2.0 / np.sqrt(rho_dr2), n
+
+
+def test_default_step_error_is_within_the_grid_error(spec):
+    # the unperturbed lift's orbit distance is the split step's bounded
+    # O(dt^2) offset: 4.8e-6 of the lift's norm at the default 0.3 dr
+    # (2.2e-6 at 0.2 dr, 8.5e-6 at 0.4 dr), against 7.3e-6 between the lift
+    # on n nodes and the lift on 2n - 1 nodes sampled at every other node
+    coarse, fine = RadialGrid(40.0, 2000), RadialGrid(40.0, 3999)
+    lift = lift_profile(solve_profile(spec, 0.8, 0.02, coarse), spec)
+    ref = lift_profile(solve_profile(spec, 0.8, 0.02, fine), spec)
+    sub = DynState(coarse, spec, ref.q, ref.psi[::2], ref.pi[::2],
+                   ref.phi[::2], ref.e_r[::2])
+    norm = np.sqrt(dyn_norm_sq(lift))
+    grid_error = orbit_distance(sub, lift) / norm
+    trace = evolve(lift, 10.0)
+    assert np.max(trace.d) / norm <= 2.0 * grid_error
 
 
 def test_blow_up_carries_time_and_partial_trace(spec, grid):
@@ -400,6 +435,7 @@ def test_evolve_monitors_match_the_public_functions(spec, charged_profile):
     states = [start]
     for _ in range(3):
         states.append(step(states[-1], dt, 4))
+    assert trace.dt == dt
     assert trace.e0 == dyn_energy(base)
     assert trace.c0 == dyn_charge(base)
     assert list(trace.E) == [dyn_energy(s) for s in states]
@@ -451,8 +487,9 @@ def test_huge_finite_field_is_a_blow_up(spec, grid):
         step(st, 0.002, 3)
 
 
-# E, C, d and sponge_flux after 2000 single split steps of the q = 0.02
-# profile whose (psi, Pi = D_t psi) the amplitude kick scaled by 1.01.
+# E, C, d and sponge_flux after 2000 single split steps of 0.2 dr of the
+# q = 0.02 profile whose (psi, Pi = D_t psi) the amplitude kick scaled by
+# 1.01.  They freeze the split step, not the default dt.
 # The 4e-18 of sponge flux is a sum of last digits collected in the
 # tail, so it is held to 1e-8.
 FROZEN_KICKED = {"E": 12.789359615625145, "C": -14.054285921403931,
@@ -468,7 +505,7 @@ FROZEN_KICKED_EVOLVE = {"E": 12.789359615625244, "C": -14.054285921404041,
 def test_kicked_charged_profile_regression(spec, charged_profile):
     base = lift_profile(charged_profile, spec)
     start = perturb(base, "amplitude", 0.01)
-    dt = DEFAULT_DT_FACTOR * base.grid.dr
+    dt = 0.2 * base.grid.dr
     cur = _single_steps(start, dt, 2000)
     split = {"E": dyn_energy(cur), "C": dyn_charge(cur),
              "d": orbit_distance(cur, base), "sponge_flux": cur.sponge_flux}

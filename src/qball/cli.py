@@ -404,7 +404,8 @@ def _run_evolve(cfg, stage):
                ("steps", int(round(cfg.T / dt))),
                ("n_runs", len(runs)), ("profile_norm", report.profile_norm),
                ("unperturbed_rel_distance",
-                unperturbed.max_distance / report.profile_norm)]
+                unperturbed.max_distance / report.profile_norm),
+               ("lift_offset", report.lift_offset)]
     for r in runs:
         cols = r.trace.columns()
         rows = zip(*(cols[k] for k in TRACE_COLUMNS))

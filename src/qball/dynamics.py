@@ -33,6 +33,13 @@ local substeps and n Gauss solves; n = 1 is the plain split step.
 evolve advances one such chunk per sample interval, so the half
 substeps close at every sample.
 
+The step does not hold the continuum lift of a profile stationary:
+started there, |psi| breathes by O(dt^2).  By backward error analysis
+the split step has its own relative equilibrium O(dt^2) away, and
+lift_profile(profile, spec, dt) finds it by Gauss-Newton on the
+one-step map, so the stability probe starts its runs on the orbit its
+step keeps.
+
 The step is fused for speed without changing the scheme.  |psi| is taken
 once per wave part and shared by h and the blow-up check.  The rotation
 exp(-ix), x = q phi tau, comes from its four-term series while
@@ -50,9 +57,13 @@ import numpy as np
 
 from .fields import (energy_norm, fan_out, gauss_potential, norm_sq,
                      solve_poisson)
+from .solver import _lapack
 
 CFL_LIMIT = 0.5           # dt must stay below this times dr
-DEFAULT_DT_FACTOR = 0.3   # default dt in units of dr; see evolve
+DEFAULT_DT_FACTOR = 0.45  # default dt in units of dr; see evolve
+LIFT_TOL = 1e-12          # relative one-step residual of the discrete lift
+LIFT_MAX_ITER = 12        # Gauss-Newton iterations the discrete lift may take
+LIFT_FD_STEP = 1e-5       # its difference step, relative to max |(u, v)|
 SERIES_RANGE = 5e-4       # max |x| up to which exp(-ix) uses its series
 SPONGE_FRACTION = 0.1     # outer fraction of the grid that absorbs
 SPONGE_SIGMA = 5.0        # peak damping rate of the quintic ramp
@@ -78,6 +89,14 @@ class BlowUpError(RuntimeError):
     def __reduce__(self):
         # keeps the error intact across a process pool
         return type(self), (str(self), self.t, self.trace)
+
+
+class LiftError(RuntimeError):
+    """The discrete lift did not converge; carries its residual history."""
+
+    def __init__(self, message, history):
+        super().__init__(message)
+        self.history = history
 
 
 @dataclasses.dataclass
@@ -173,7 +192,7 @@ def step(state, dt, n=1):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if dt > max_dt(grid.dr):
-        raise ValueError("dt exceeds the CFL bound 0.5 dr")
+        raise ValueError(f"dt exceeds the CFL bound {CFL_LIMIT:g} dr")
     if n < 1:
         raise ValueError("the step count n must be at least 1")
     half = 0.5 * dt
@@ -207,18 +226,108 @@ def step(state, dt, n=1):
     return DynState(grid, spec, q, psi, pi, phi, e_r, t, flux)
 
 
-def lift_profile(profile, spec):
+def lift_profile(profile, spec, dt=None):
     """Stationary profile as an initial state.
 
-    psi = u and Pi = -i (omega - q phi) u, the D_t psi of the orbit
-    psi = u exp(-i omega t).
+    With dt = None this is the continuum lift psi = u and
+    Pi = -i (omega - q phi) u, the D_t psi of the orbit
+    psi = u exp(-i omega t).  The split step keeps that orbit only up to
+    an O(dt^2) breathing of |psi|.  With a dt it is instead the step's
+    own relative equilibrium (Hairer, Lubich and Wanner, Geometric
+    Numerical Integration, ch. IX), O(dt^2) away from the continuum
+    lift: the state psi = u, Pi = -i v with real (u, v) whose one step of
+    size dt, sponge aside, is its rotation by exp(-i omega dt), phi its
+    constraint image.  Gauss-Newton finds it from the continuum lift; see
+    _discrete_lift.
     """
     grid = profile.state.grid
     psi = profile.state.u.astype(np.complex128)
     phi = np.array(profile.phi, dtype=float)
     pi = -1j * (profile.omega - profile.q * phi) * psi
     e_r = np.array(profile.state.E_r, dtype=float)
-    return DynState(grid, spec, profile.q, psi, pi, phi, e_r)
+    lift = DynState(grid, spec, profile.q, psi, pi, phi, e_r)
+    if dt is None:
+        return lift
+    return _discrete_lift(lift, profile.omega, dt)
+
+
+def _discrete_lift(lift, omega, dt):
+    """Gauss-Newton on the real pair x = (u_0, v_0, u_1, v_1, ...).
+
+    For frozen phi one step couples a node only to its neighbours: the 4
+    residual rows of node i see x of nodes i - 1, i and i + 1 only, a
+    4 x 6 block B_i.  Central differences over six colour groups (node
+    index mod 3, times u or v) give every block, and J^T J = sum_i
+    B_i^T B_i is a band matrix with 5 sub- and superdiagonals, built
+    straight into LAPACK band storage.  The colouring leaves out phi's
+    nonlocal response, so for q > 0 convergence is linear at a rate of
+    order q^2.  The residual undoes the sponge: where a profile's tail
+    reaches it (a grid too short for omega) the damped step keeps no
+    orbit, and where the tail has decayed the sponge moves nothing.
+    Stops at a relative residual LIFT_TOL; raises LiftError after
+    LIFT_MAX_ITER iterations or on a singular system.
+    """
+    dgbsv = _lapack()[0]
+    grid, spec, q = lift.grid, lift.spec, lift.q
+    n = grid.n
+    x = np.empty(2 * n)
+    x[0::2] = lift.psi.real
+    x[1::2] = -lift.pi.imag
+    h = LIFT_FD_STEP * np.max(np.abs(x))
+    rot = np.exp(1j * omega * dt)
+    outer, damp, _ = _sponge(grid, dt)
+
+    def residual(x):
+        """(state, rows): the state psi = u, Pi = -i v with phi its
+        constraint image, and exp(i omega dt) step(state) - state as the
+        rows Re psi, Im psi, Re Pi, Im Pi, with the sponge undone."""
+        psi, pi = x[0::2].astype(np.complex128), -1j * x[1::2]
+        start = DynState(grid, spec, q, psi, pi,
+                         *_constrain_phi(grid, q, psi, pi, gauss_potential))
+        end = step(start, dt)
+        end.pi[outer:] /= damp
+        r_psi, r_pi = rot * end.psi - psi, rot * end.pi - pi
+        return start, np.stack((r_psi.real, r_psi.imag, r_pi.real, r_pi.imag))
+
+    node = np.arange(n)
+    # blocks[:, 2 (o + 1) + s, i] = d(rows of node i) / d(x[2 (i + o) + s])
+    blocks = np.empty((4, 6, n))
+    # J^T J and J^T r padded by the missing nodes -1 and n; band storage
+    # A[a, b] at ab[10 + a - b, b] (kl = ku = 5), rows 0-4 take the LU fill
+    ab = np.empty((16, 2 * n + 4), order="F")
+    jtr = np.empty(2 * n + 4)
+    history = []
+    while True:
+        state, res = residual(x)
+        history.append(float(np.linalg.norm(res) / np.linalg.norm(x)))
+        if history[-1] <= LIFT_TOL:
+            return state
+        if len(history) > LIFT_MAX_ITER:
+            raise LiftError(f"discrete lift did not converge in "
+                            f"{LIFT_MAX_ITER} iterations", history)
+        for c in range(3):
+            for s in range(2):
+                bump = np.zeros(2 * n)
+                bump[2 * c + s::6] = h
+                diff = residual(x + bump)[1] - residual(x - bump)[1]
+                # node i sees the bumped node of colour c among i - 1..i + 1
+                blocks[:, 2 * ((c - node + 1) % 3) + s, node] = diff / (2 * h)
+        # the end nodes have no neighbour beyond them: the padding stays 0
+        blocks[:, :2, 0] = 0.0
+        blocks[:, 4:, -1] = 0.0
+        ab[:] = 0.0
+        jtr[:] = 0.0
+        for a in range(6):
+            for b in range(6):
+                ab[10 + a - b, b:b + 2 * n:2] += np.einsum(
+                    "ki,ki->i", blocks[:, a], blocks[:, b])
+            jtr[a:a + 2 * n:2] += np.einsum("ki,ki->i", blocks[:, a], res)
+        *_, delta, info = dgbsv(5, 5, ab[:, 2:-2], -jtr[2:-2],
+                                overwrite_ab=True, overwrite_b=True)
+        if info:
+            raise LiftError(f"singular discrete-lift system (info={info})",
+                            history)
+        x += delta
 
 
 def _norm_terms(pi, dpsi, psi, e_r):
@@ -355,12 +464,15 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
     searched.  Each sample interval is one call of step with
     n = sample_every (fewer at the end), so the local half substeps
     close at every sample, which lie sample_every dt apart in time.  dt
-    defaults to DEFAULT_DT_FACTOR dr = 0.3 dr: there the split step's
-    bounded O(dt^2) offset from a stationary orbit stays below the grid's
-    own error (the lift on n nodes against the lift on 2n - 1), so a
-    smaller step buys no accuracy the grid keeps.  The trace records the
-    dt taken.  sample_every must be a whole number of at least 1.  A
-    blow-up is re-raised carrying the partial trace.
+    defaults to DEFAULT_DT_FACTOR dr = 0.45 dr: there the split step's
+    bounded O(dt^2) offset from a stationary orbit, the distance from the
+    continuum lift to the step's own relative equilibrium
+    (lift_profile(..., dt)), stays below the grid's own error (the lift
+    on n nodes against the lift on 2n - 1), so a smaller step buys no
+    accuracy the grid keeps.  Started on the step's own lift, the
+    unperturbed orbit is a pure rotation to about 1e-10.  The trace
+    records the dt taken.  sample_every must be a whole number of at
+    least 1.  A blow-up is re-raised carrying the partial trace.
     """
     grid = state.grid
     if dt is None:
@@ -424,10 +536,12 @@ class ProbeRun:
 
 @dataclasses.dataclass
 class StabilityReport:
-    """The probe's runs and the profile norm their growth ratios divide by."""
+    """The probe's runs, the profile norm their growth ratios divide by,
+    and the distance from the continuum lift to the step's own one."""
 
     runs: list                # every evolution once, in plan order
     profile_norm: float
+    lift_offset: float        # ||discrete lift - continuum lift|| / norm
 
 
 def classify_ratio(ratio):
@@ -462,8 +576,13 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
     run per (mode, nonzero eps) in modes x eps_list order, named
     "<mode>_eps<eps>"; run k >= 1 draws its noise from seed + k.  One
     unperturbed run serves every mode, since perturb(..., 0) is a clone
-    whatever the mode.  dt = None takes evolve's default.  Runs fan out
-    over `workers` processes; the report does not depend on their number.
+    whatever the mode.  dt = None takes evolve's default, resolved here
+    once: every run starts from lift_profile at the dt it steps with, the
+    step's own relative equilibrium, so the unperturbed run measures how
+    well the start sits on the step's orbit, and lift_offset reports the
+    step's O(dt^2) time error, the energy-norm distance from that lift to
+    the continuum one over the profile norm.  Runs fan out over `workers`
+    processes; the report does not depend on their number.
 
     The ratio max_t d(t) / (eps ||profile||) is classified stable-like
     below 10, marginal below 100, unstable-like above; a blow-up is
@@ -471,8 +590,11 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
     """
     if len(set(modes)) < len(modes) or len(set(eps_list)) < len(eps_list):
         raise ValueError("modes and eps_list must not repeat")
-    base = lift_profile(profile, spec)
+    if dt is None:
+        dt = DEFAULT_DT_FACTOR * profile.state.grid.dr
+    base = lift_profile(profile, spec, dt)
     norm = float(np.sqrt(dyn_norm_sq(base)))
+    offset = _plain_distance(base, lift_profile(profile, spec)) / norm
     kicks = [(mode, eps) for mode in modes for eps in eps_list if eps != 0.0]
     plan = [(f"{mode}_eps{eps:g}", mode, eps, seed + k)
             for k, (mode, eps) in enumerate(kicks, start=1)]
@@ -480,4 +602,4 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
         plan.insert(0, ("unperturbed", None, 0.0, seed))
     jobs = [(base, norm, T, dt, sample_every) + run for run in plan]
     runs = fan_out(_probe_run, jobs, workers)
-    return StabilityReport(runs, norm)
+    return StabilityReport(runs, norm, float(offset))

@@ -84,15 +84,15 @@ TINY_DIGESTS = {
     "solve/sweep.csv":
         "c34b5a8e813b42eba83d39b0849c97f37e4a54a220f60bfb195762fdfb4ae85b",
     "evolve/evolve.txt":
-        "b1c676945ab5fe565ebed3c40a87c80e3f0316e6abaca364494149d55b7169e8",
+        "e7601516661bf4b03508341c423583a4424b62975d74ca22a865895b24426882",
     "evolve/trace_amplitude_eps0.01.csv":
-        "15a7d3eebca0e3d3ba2a31fffbaf77efca79d7dc6635c66dfa226c066d3b6a89",
+        "126a338eb5c47dc4876a2ffdd9ac074e3c59c2261573748232d27f53e065e83b",
     "evolve/trace_noise_eps0.01.csv":
-        "01653c62f835a04603d041566112f9155881c30c17d040f41d8a12e46c1598d7",
+        "fa4e54867d37c999573a564ec6b2a265301388d7f1c80c38d870fb5e9687eaf9",
     "evolve/trace_unperturbed.csv":
-        "b146aae11404bf1e0abf747cd387e6bbf733d93caca09d6cfa8a0a3b34898ef9",
+        "df0263c08c69626577749066786dd54427d32dc76fc0846bc6d824ab4e45897e",
     "evolve/trace_velocity_eps0.01.csv":
-        "3f4a73bdc823c05f615a102f5cc1147735a80dc33a1887d5a5db425c0a2a7bea",
+        "b2213e144d3daeec8dc8500ee526c64344dcabf4444724f048c603b2c1381512",
 }
 
 
@@ -588,6 +588,7 @@ def test_evolve_report_is_the_probe_report(tmp_path):
     assert written["steps"] == str(round(cfg.T / unperturbed.trace.dt))
     assert float(written["unperturbed_rel_distance"]) \
         == unperturbed.max_distance / report.profile_norm
+    assert float(written["lift_offset"]) == report.lift_offset
     for r in report.runs:
         assert float(written[f"{r.name}_max_distance"]) == r.max_distance
         assert float(written[f"{r.name}_ratio"]) == r.max_ratio

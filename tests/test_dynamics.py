@@ -19,6 +19,8 @@ from qball.dynamics import (
     CFL_LIMIT,
     DEFAULT_DT_FACTOR,
     DynState,
+    LIFT_MAX_ITER,
+    LiftError,
     PERTURBATION_MODES,
     SERIES_RANGE,
     SPONGE_FRACTION,
@@ -53,8 +55,9 @@ def charged_profile(spec, grid):
 
 
 @pytest.fixture(scope="module")
-def neutral_lift(spec, neutral_profile):
-    return lift_profile(neutral_profile, spec)
+def neutral_lift(spec, grid, neutral_profile):
+    # the state the probe evolves: the step's own lift at the default dt
+    return lift_profile(neutral_profile, spec, DEFAULT_DT_FACTOR * grid.dr)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +83,78 @@ def test_lift_matches_profile_functionals(spec, neutral_profile,
         st = lift_profile(p, spec)
         assert abs(dyn_energy(st) - p.E) < 1e-8
         assert abs(dyn_charge(st) - p.C) < 1e-8
+
+
+def test_continuum_lift_is_unchanged(spec, charged_profile):
+    # dt = None is the lift psi = u, Pi = -i (omega - q phi) u, bit for bit
+    p = charged_profile
+    psi = p.state.u.astype(np.complex128)
+    want = (psi, -1j * (p.omega - p.q * p.phi) * psi, p.phi, p.state.E_r)
+    for st in (lift_profile(p, spec), lift_profile(p, spec, None)):
+        got = (st.psi, st.pi, st.phi, st.e_r)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert (st.t, st.sponge_flux, st.q) == (0.0, 0.0, p.q)
+
+
+def test_discrete_lift_steps_to_its_rotation(spec, grid, neutral_profile,
+                                             charged_profile):
+    dt = DEFAULT_DT_FACTOR * grid.dr
+    for p in (neutral_profile, charged_profile):
+        lift = lift_profile(p, spec, dt)
+        # the time-symmetric point of the orbit: psi real, Pi imaginary
+        assert not np.any(lift.psi.imag) and not np.any(lift.pi.real)
+        assert np.array_equal(constrain(lift).phi, lift.phi)
+        end = step(lift, dt)
+        rot = np.exp(-1j * p.omega * dt)
+        gap = np.hypot(np.linalg.norm(end.psi - rot * lift.psi),
+                       np.linalg.norm(end.pi - rot * lift.pi))
+        size = np.hypot(np.linalg.norm(lift.psi), np.linalg.norm(lift.pi))
+        assert gap <= 1e-12 * size, p.q
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02, 0.1])
+def test_discrete_lift_orbit_is_pure_phase_rotation(spec, q):
+    # about 1e-10; from the continuum lift the same spread is the step's
+    # O(dt^2) breathing, 8.5e-6 on this grid
+    grid = RadialGrid(40.0, 2000)
+    lift = lift_profile(solve_profile(spec, 0.8, q, grid), spec,
+                        DEFAULT_DT_FACTOR * grid.dr)
+    trace = evolve(lift, 50.0, sample_every=25)
+    assert np.ptp(trace.max_psi) < 1e-9
+
+
+def test_probe_lifts_at_the_step_its_runs_take(spec, grid, neutral_profile,
+                                               monkeypatch):
+    lifted = []
+    real_lift = dynamics.lift_profile
+
+    def recording_lift(profile, spec, dt=None):
+        lifted.append(dt)
+        return real_lift(profile, spec, dt)
+
+    monkeypatch.setattr(dynamics, "lift_profile", recording_lift)
+    for dt in (None, 0.3 * grid.dr):
+        lifted.clear()
+        report = stability_probe(neutral_profile, spec, [0.0, 0.01],
+                                 T=0.05, modes=("amplitude",), dt=dt)
+        # the lift the runs start from, then the continuum lift
+        assert lifted[1] is None
+        assert {r.trace.dt for r in report.runs} == {lifted[0]}
+        assert lifted[0] == (DEFAULT_DT_FACTOR * grid.dr if dt is None
+                             else dt)
+        assert 0.0 < report.lift_offset < 1e-5
+
+
+def test_unconverged_lift_raises_with_its_history(spec, grid,
+                                                  charged_profile,
+                                                  monkeypatch):
+    # no residual reaches a zero tolerance
+    monkeypatch.setattr(dynamics, "LIFT_TOL", 0.0)
+    with pytest.raises(LiftError, match="did not converge") as err:
+        lift_profile(charged_profile, spec, DEFAULT_DT_FACTOR * grid.dr)
+    history = err.value.history
+    assert len(history) == LIFT_MAX_ITER + 1
+    assert history[-1] < 1e-3 * history[0]
 
 
 def test_neutral_orbit_is_pure_phase_rotation(neutral_trace):
@@ -130,12 +205,16 @@ def test_step_zero_field(spec, grid):
     assert out.t == 0.002
 
 
-def test_step_validation(spec, grid):
+def test_step_validation(spec, grid, monkeypatch):
     st = _pulse(spec, grid)
     with pytest.raises(ValueError):
         step(st, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"CFL bound {CFL_LIMIT:g} dr"):
         step(st, 0.6 * grid.dr)
+    # the message reads the bound the check applies
+    monkeypatch.setattr(dynamics, "CFL_LIMIT", 0.4)
+    with pytest.raises(ValueError, match="CFL bound 0.4 dr"):
+        step(st, 0.45 * grid.dr)
 
 
 def test_cfl_limit_is_inside_the_wave_stability_region():
@@ -156,8 +235,8 @@ def test_cfl_limit_is_inside_the_wave_stability_region():
 
 def test_default_step_error_is_within_the_grid_error(spec):
     # the unperturbed lift's orbit distance is the split step's bounded
-    # O(dt^2) offset: 4.8e-6 of the lift's norm at the default 0.3 dr
-    # (2.2e-6 at 0.2 dr, 8.5e-6 at 0.4 dr), against 7.3e-6 between the lift
+    # O(dt^2) offset: 1.08e-5 of the lift's norm at the default 0.45 dr
+    # (2.2e-6 at 0.2 dr, 4.8e-6 at 0.3 dr), against 7.3e-6 between the lift
     # on n nodes and the lift on 2n - 1 nodes sampled at every other node
     coarse, fine = RadialGrid(40.0, 2000), RadialGrid(40.0, 3999)
     lift = lift_profile(solve_profile(spec, 0.8, 0.02, coarse), spec)

@@ -48,7 +48,9 @@ max |x| < SERIES_RANGE (the truncation error, x^4/24, is then below
 step skips solve_poisson's input checks, and the sponge's damping and
 loss weights are built once per call of step, so once per chunk of n
 steps.  The monitors read Pi where the state stores it; evolve takes
-d_r psi once per sample and shares it between E and d.
+d_r psi once per sample and shares it between E and d.  The stability
+probe steps its runs as one batch, fields of shape (runs, n); no
+operation mixes rows, so each run keeps the bits it has stepped alone.
 """
 
 import dataclasses
@@ -79,7 +81,7 @@ def max_dt(dr):
 
 
 class BlowUpError(RuntimeError):
-    """Fields left the finite range; carries the time of the failure."""
+    """Fields went non-finite at time t; from step, rows: the failed rows."""
 
     def __init__(self, message, t, trace=None):
         super().__init__(message)
@@ -125,7 +127,7 @@ def _constrain_phi(grid, q, psi, pi, solve):
     solve is the Poisson solve, unchecked inside a step.
     """
     if q == 0.0:
-        z = np.zeros(grid.n)
+        z = np.zeros(psi.shape)
         return z, z.copy()
     return solve(-q * (pi.imag * psi.real - pi.real * psi.imag), grid)
 
@@ -139,8 +141,10 @@ def constrain(state):
 
 
 def _rotation(x):
-    """exp(-ix), from its four-term series while max |x| < SERIES_RANGE."""
-    if np.max(np.abs(x)) >= SERIES_RANGE:
+    """exp(-ix), per row from its series while max |x| < SERIES_RANGE."""
+    closed = np.abs(x).max(axis=-1) >= SERIES_RANGE
+    mixed = closed.any()
+    if mixed and closed.all():
         return np.exp(-1j * x)
     # exp(-ix) = 1 - ix - x^2/2 + ix^3/6 - ...
     x2 = x * x
@@ -150,6 +154,8 @@ def _rotation(x):
     x2 *= 1.0 / 6.0
     x2 -= 1.0
     np.multiply(x, x2, out=rot.imag)
+    if mixed:
+        rot[closed] = np.exp(-1j * x[closed])
     return rot
 
 
@@ -185,8 +191,11 @@ def step(state, dt, n=1):
 
     Between two steps the closing and opening local half substeps are one
     full substep, so the n steps cost n + 1 local substeps and n Gauss
-    solves; n = 1 is one plain split step.  A non-finite field raises
-    BlowUpError at the end of the step that produced it.
+    solves; n = 1 is one plain split step.  A batch state holds fields
+    of shape (rows, n) and one sponge_flux per row; no operation mixes
+    rows, so each comes out with the bits it gets stepped alone.  A
+    non-finite field raises BlowUpError at the end of the step that
+    produced it, naming the rows that failed.
     """
     grid, spec, q = state.grid, state.spec, state.q
     if dt <= 0.0:
@@ -200,7 +209,7 @@ def step(state, dt, n=1):
 
     psi, pi = _local(spec, q, state.psi, np.abs(state.psi), state.pi,
                      state.phi, half)
-    t, flux = state.t, state.sponge_flux
+    t, flux = state.t, np.ravel(state.sponge_flux).tolist()
     for remaining in range(n, 0, -1):
         psi = psi + half * pi
         lap = grid.laplacian(psi)
@@ -209,21 +218,26 @@ def step(state, dt, n=1):
         psi += half * pi
 
         mod = np.abs(psi)
-        peak = float(np.max(mod))
+        peak = mod.max(axis=-1)
         phi, e_r = _constrain_phi(grid, q, psi, pi, gauss_potential)
         # this step's closing half substep and the next one's opening one
         psi, pi = _local(spec, q, psi, mod, pi, phi,
                          dt if remaining > 1 else half)
 
-        tail = pi[start:]
-        flux += float(loss @ (tail.real * tail.real + tail.imag * tail.imag))
+        tail = pi[..., start:]
+        sq = tail.real * tail.real + tail.imag * tail.imag
+        flux = [f + loss @ r for f, r in zip(flux, sq.reshape(len(flux), -1))]
         tail *= damp
 
         t += dt
         # a sum is non-finite when a term is (or the fields overflow it)
-        if not (np.isfinite(peak) and np.isfinite(np.sum(pi))):
-            raise BlowUpError("fields became non-finite", t)
-    return DynState(grid, spec, q, psi, pi, phi, e_r, t, flux)
+        ok = np.isfinite(peak) & np.isfinite(pi.sum(axis=-1))
+        if not ok.all():
+            err = BlowUpError("fields became non-finite", t)
+            err.rows = np.flatnonzero(~ok).tolist()
+            raise err
+    return DynState(grid, spec, q, psi, pi, phi, e_r, t,
+                    float(flux[0]) if psi.ndim == 1 else np.array(flux))
 
 
 def lift_profile(profile, spec, dt=None):
@@ -413,7 +427,6 @@ def perturb(state, mode, eps, seed=0):
     d_psi, d_pi = draw(), draw()
     target = eps * np.sqrt(dyn_norm_sq(state))
     scale = 1.0
-    trial = out
     for _ in range(4):
         trial = state.clone()
         trial.psi = state.psi + scale * d_psi
@@ -472,47 +485,75 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
     accuracy the grid keeps.  Started on the step's own lift, the
     unperturbed orbit is a pure rotation to about 1e-10.  The trace
     records the dt taken.  sample_every must be a whole number of at
-    least 1.  A blow-up is re-raised carrying the partial trace.
+    least 1.  A blow-up is re-raised carrying the partial trace.  This
+    is the one-row case of the stability probe's batched loop.
     """
-    grid = state.grid
     if dt is None:
-        dt = DEFAULT_DT_FACTOR * grid.dr
+        dt = DEFAULT_DT_FACTOR * state.grid.dr
+    ref = reference if reference is not None else state.clone()
+    trace, = _evolve_batch([state], ref, T, dt, sample_every)
+    if isinstance(trace, BlowUpError):
+        raise trace
+    return trace
+
+
+def _take(batch, j):
+    """Row j of a batch state as a state, or rows j (a list) as a batch."""
+    return DynState(batch.grid, batch.spec, batch.q, batch.psi[j],
+                    batch.pi[j], batch.phi[j], batch.e_r[j], batch.t,
+                    batch.sponge_flux[j])
+
+
+def _evolve_batch(starts, ref, T, dt, sample_every):
+    """evolve of each start (at one grid, spec, q and t) against ref as
+    one batch: per start its EvolutionTrace, or its BlowUpError carrying
+    the partial trace.  A failed row leaves the batch and the chunk is
+    stepped again from its start for the rest: the rows are independent.
+    """
     if T < 0.0:
         raise ValueError("T must be nonnegative")
     if sample_every < 1 or sample_every % 1:
         raise ValueError("sample_every must be a whole number of at least 1")
     sample_every = int(sample_every)
-    ref = reference if reference is not None else state.clone()
+    grid, s0 = starts[0].grid, starts[0]
     dpsi0 = ref.grid.d_dr(ref.psi)
     e0, c0 = _energy(ref, dpsi0), dyn_charge(ref)
     n_steps = int(round(T / dt))
-    cols = {name: [] for name in TRACE_COLUMNS}
+    samples = [[] for _ in starts]     # per start, rows in TRACE_COLUMNS
+    failed = {}
 
-    def sample(s):
-        dpsi = grid.d_dr(s.psi)
-        e, c = _energy(s, dpsi), dyn_charge(s)
-        cols["t"].append(s.t)
-        cols["E"].append(e)
-        cols["C"].append(c)
-        cols["V"].append((e - e0) ** 2 + (c - c0) ** 2)
-        cols["d"].append(_distance(s, dpsi, ref, dpsi0))
-        cols["max_psi"].append(float(np.max(np.abs(s.psi))))
-        cols["sponge_flux"].append(s.sponge_flux)
+    def sample(batch, live):
+        for j, i in enumerate(live):
+            s = _take(batch, j)
+            dpsi = grid.d_dr(s.psi)
+            e, c = _energy(s, dpsi), dyn_charge(s)
+            samples[i].append((s.t, e, c, (e - e0) ** 2 + (c - c0) ** 2,
+                               _distance(s, dpsi, ref, dpsi0),
+                               float(np.max(np.abs(s.psi))), s.sponge_flux))
 
-    def build():
-        return EvolutionTrace(*(np.array(cols[name]) for name in TRACE_COLUMNS),
+    def build(i):
+        return EvolutionTrace(*map(np.array, zip(*samples[i])),
                               e0=e0, c0=c0, dt=dt)
 
-    sample(state)
-    current = state
+    current = DynState(grid, s0.spec, s0.q, t=s0.t, **{
+        name: np.stack([getattr(s, name) for s in starts])
+        for name in ("psi", "pi", "phi", "e_r", "sponge_flux")})
+    live = list(range(len(starts)))
+    sample(current, live)
     for k in range(0, n_steps, sample_every):
-        try:
-            current = step(current, dt, min(sample_every, n_steps - k))
-        except BlowUpError as exc:
-            exc.trace = build()
-            raise
-        sample(current)
-    return build()
+        while live:
+            try:
+                current = step(current, dt, min(sample_every, n_steps - k))
+                sample(current, live)
+                break
+            except BlowUpError as exc:
+                for j in exc.rows:
+                    failed[live[j]] = BlowUpError(str(exc), exc.t,
+                                                  build(live[j]))
+                keep = [j for j in range(len(live)) if j not in exc.rows]
+                live = [live[j] for j in keep]
+                current = _take(current, keep)
+    return [failed.get(i) or build(i) for i in range(len(starts))]
 
 
 @dataclasses.dataclass
@@ -553,19 +594,21 @@ def classify_ratio(ratio):
     return "unstable-like"
 
 
-def _probe_run(job):
-    """Worker: perturb, evolve and classify one run of the probe."""
-    base, norm, T, dt, sample_every, name, mode, eps, seed = job
-    start = base if eps == 0.0 else perturb(base, mode, eps, seed)
-    try:
-        trace = evolve(start, T, dt, sample_every, reference=base)
-    except BlowUpError as exc:
-        return ProbeRun(name, mode, eps, seed, exc.trace, np.nan, np.nan,
-                        "unstable-like", exc)
-    dmax = float(np.max(trace.d))
-    ratio = dmax / (eps * norm) if eps != 0.0 else 0.0
-    return ProbeRun(name, mode, eps, seed, trace, dmax, ratio,
-                    classify_ratio(ratio))
+def _probe_batch(job):
+    """Worker: evolve a share of the probe's runs as one batch; classify."""
+    base, norm, T, dt, sample_every, plan, starts = job
+    runs = []
+    for (name, mode, eps, seed), trace in zip(plan, _evolve_batch(
+            starts, base, T, dt, sample_every)):
+        if isinstance(trace, BlowUpError):
+            runs.append(ProbeRun(name, mode, eps, seed, trace.trace, np.nan,
+                                 np.nan, "unstable-like", trace))
+            continue
+        dmax = float(np.max(trace.d))
+        ratio = dmax / (eps * norm) if eps != 0.0 else 0.0
+        runs.append(ProbeRun(name, mode, eps, seed, trace, dmax, ratio,
+                             classify_ratio(ratio)))
+    return runs
 
 
 def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
@@ -581,8 +624,10 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
     step's own relative equilibrium, so the unperturbed run measures how
     well the start sits on the step's orbit, and lift_offset reports the
     step's O(dt^2) time error, the energy-norm distance from that lift to
-    the continuum one over the profile norm.  Runs fan out over `workers`
-    processes; the report does not depend on their number.
+    the continuum one over the profile norm.  The perturbed starts split
+    into min(workers, runs) contiguous shares, one batch per process; a
+    trace has the bits of evolve of its start alone, so the report does
+    not depend on `workers`.
 
     The ratio max_t d(t) / (eps ||profile||) is classified stable-like
     below 10, marginal below 100, unstable-like above; a blow-up is
@@ -600,6 +645,12 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
             for k, (mode, eps) in enumerate(kicks, start=1)]
     if 0.0 in eps_list:
         plan.insert(0, ("unperturbed", None, 0.0, seed))
-    jobs = [(base, norm, T, dt, sample_every) + run for run in plan]
-    runs = fan_out(_probe_run, jobs, workers)
+    starts = [base if eps == 0.0 else perturb(base, mode, eps, run_seed)
+              for _, mode, eps, run_seed in plan]
+    shares = max(min(workers, len(plan)), 1)
+    cuts = [len(plan) * k // shares for k in range(shares + 1)]
+    jobs = [(base, norm, T, dt, sample_every, plan[a:b], starts[a:b])
+            for a, b in zip(cuts, cuts[1:]) if a < b]
+    runs = [run for batch in fan_out(_probe_batch, jobs, workers)
+            for run in batch]
     return StabilityReport(runs, norm, float(offset))

@@ -17,6 +17,7 @@ by gauss_residual applies the exact inverse of that construction, so a
 solved field has residual at roundoff level by design.  The Gauss-law
 helpers take and return the field E_r = -phi' that a state stores, in
 program units: E_r = Q(r)/r^2 with Q = int_0^r source v^2 dv, no 4 pi.
+The Laplacian and Gauss-law integrals treat a batch of fields by row.
 fan_out imports the process pool only when it runs more than one worker.
 """
 
@@ -120,11 +121,12 @@ class RadialGrid:
         if f.dtype == np.complex128:
             return self._pair_laplacian(f)
         out = np.empty_like(f)
-        out[1:-1] = (self._rp2[1:-1] * (f[2:] - f[1:-1])
-                     - self._rm2[1:-1] * (f[1:-1] - f[:-2]))
-        out[-1] = self._rp2[-1] * (0.0 - f[-1]) - self._rm2[-1] * (f[-1] - f[-2])
-        out[1:] /= self.dr2_r2
-        out[0] = 6.0 * (f[1] - f[0]) / self.dr ** 2
+        out[..., 1:-1] = (self._rp2[1:-1] * (f[..., 2:] - f[..., 1:-1])
+                          - self._rm2[1:-1] * (f[..., 1:-1] - f[..., :-2]))
+        out[..., -1] = (self._rp2[-1] * (0.0 - f[..., -1])
+                        - self._rm2[-1] * (f[..., -1] - f[..., -2]))
+        out[..., 1:] /= self.dr2_r2
+        out[..., 0] = 6.0 * (f[..., 1] - f[..., 0]) / self.dr ** 2
         return out
 
     def _pair_laplacian(self, f):
@@ -132,10 +134,15 @@ class RadialGrid:
         v = np.ascontiguousarray(f).view(float)
         rp2, rm2 = self._pair_rp2, self._pair_rm2
         out = np.empty_like(v)
-        out[2:-2] = rp2[2:-2] * (v[4:] - v[2:-2]) - rm2[2:-2] * (v[2:-2] - v[:-4])
-        out[-2:] = rp2[-2:] * (0.0 - v[-2:]) - rm2[-2:] * (v[-2:] - v[-4:-2])
-        out[2:] *= self._pair_inv_scale
-        out[:2] = 6.0 * (v[2:4] - v[:2]) * self._inv_dr2
+        outer = np.subtract(v[..., 4:], v[..., 2:-2])
+        outer *= rp2[2:-2]
+        inner = np.subtract(v[..., 2:-2], v[..., :-4], out=out[..., 2:-2])
+        inner *= rm2[2:-2]
+        np.subtract(outer, inner, out=inner)
+        out[..., -2:] = (rp2[-2:] * (0.0 - v[..., -2:])
+                         - rm2[-2:] * (v[..., -2:] - v[..., -4:-2]))
+        out[..., 2:] *= self._pair_inv_scale
+        out[..., :2] = 6.0 * (v[..., 2:4] - v[..., :2]) * self._inv_dr2
         return out.view(complex)
 
 
@@ -246,11 +253,11 @@ def local_ratio(state, r_lo, r_hi, spec):
 
 def cumulative_charge(source, grid):
     """Q_i = int_0^{r_i} source(v) v^2 dv by cell-trapezoid quadrature."""
-    dq = np.empty(grid.n)
-    dq[0] = 0.0
-    np.add(source[1:], source[:-1], out=dq[1:])
-    dq[1:] *= grid.cell_c[1:]
-    return np.cumsum(dq, out=dq)
+    dq = np.empty(source.shape)
+    dq[..., 0] = 0.0
+    np.add(source[..., 1:], source[..., :-1], out=dq[..., 1:])
+    dq[..., 1:] *= grid.cell_c[1:]
+    return np.cumsum(dq, axis=-1, out=dq)
 
 
 def cumulative_charge_adjoint(g, grid):
@@ -264,17 +271,19 @@ def cumulative_charge_adjoint(g, grid):
 def gauss_field(source, grid):
     """Enclosed charge Q and radial field E = Q/r^2 of a source; E(0) = 0."""
     q_cum = cumulative_charge(source, grid)
-    e = np.zeros(grid.n)
-    e[1:] = q_cum[1:] / grid.r2[1:]
+    e = np.zeros(q_cum.shape)
+    np.divide(q_cum[..., 1:], grid.r2[1:], out=e[..., 1:])
     return q_cum, e
 
 
 def _integrate_inward(e, phi_out, grid):
     """phi with phi(r_max) = phi_out and phi' = -e, by the trapezoid rule inward."""
-    phi = np.empty(grid.n)
-    phi[-1] = phi_out
-    steps = 0.5 * grid.dr * (e[:-1] + e[1:])
-    np.add(phi[-1], np.cumsum(steps[::-1])[::-1], out=phi[:-1])
+    phi = np.empty(e.shape)
+    phi[..., -1] = phi_out
+    steps = np.add(e[..., :-1], e[..., 1:])
+    steps *= 0.5 * grid.dr
+    np.cumsum(steps[..., ::-1], axis=-1, out=steps[..., ::-1])
+    np.add(phi[..., -1:], steps, out=phi[..., :-1])
     return phi
 
 
@@ -301,7 +310,7 @@ def solve_poisson(source, grid):
 def gauss_potential(source, grid):
     """solve_poisson without its shape and decay checks, for hot loops."""
     q_cum, e = gauss_field(source, grid)
-    return _integrate_inward(e, q_cum[-1] / grid.r_max, grid), e
+    return _integrate_inward(e, q_cum[..., -1] / grid.r_max, grid), e
 
 
 def potential_from_field(e_r, grid):

@@ -66,8 +66,12 @@ def neutral_trace(neutral_lift):
 
 
 @pytest.fixture(scope="module")
-def charged_trace(spec, charged_profile):
-    return evolve(lift_profile(charged_profile, spec), 25.0, sample_every=25)
+def charged_trace(spec, grid, charged_profile):
+    # from the step's own lift the drifts are the integrator's, not the
+    # O(dt^2) breathing of the continuum lift
+    return evolve(lift_profile(charged_profile, spec,
+                               DEFAULT_DT_FACTOR * grid.dr),
+                  25.0, sample_every=25)
 
 
 def _pulse(spec, grid, q=0.01, amp=0.1, center=10.0):
@@ -443,14 +447,15 @@ def test_stability_probe_neutral(spec, grid, neutral_profile):
 def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
                                                monkeypatch):
     unperturbed = []
-    real_evolve = dynamics.evolve
+    real_batch = dynamics._evolve_batch
 
-    def counting_evolve(state, *args, reference=None, **kwargs):
-        unperturbed.append(np.array_equal(state.psi, reference.psi)
-                           and np.array_equal(state.pi, reference.pi))
-        return real_evolve(state, *args, reference=reference, **kwargs)
+    def recording_batch(starts, reference, *args):
+        unperturbed.extend(np.array_equal(s.psi, reference.psi)
+                           and np.array_equal(s.pi, reference.pi)
+                           for s in starts)
+        return real_batch(starts, reference, *args)
 
-    monkeypatch.setattr(dynamics, "evolve", counting_evolve)
+    monkeypatch.setattr(dynamics, "_evolve_batch", recording_batch)
     report = stability_probe(neutral_profile, spec, [0.0, 0.01], T=0.02,
                              seed=5)
     assert unperturbed == [True, False, False, False]
@@ -458,6 +463,70 @@ def test_stability_probe_runs_unperturbed_once(spec, neutral_profile,
         "unperturbed", "amplitude_eps0.01", "velocity_eps0.01",
         "noise_eps0.01"]
     assert [r.seed for r in report.runs] == [5, 6, 7, 8]
+
+
+def _assert_same_trace(got, want):
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=True), name
+    assert (got.e0, got.c0, got.dt) == (want.e0, want.c0, want.dt)
+
+
+def test_probe_runs_equal_their_solo_evolutions(spec, grid, charged_profile):
+    # 25 steps in chunks of 10, 10 and 5: every run of the batch has the
+    # bits of evolve of its start alone, on any number of workers
+    dt = DEFAULT_DT_FACTOR * grid.dr
+    report = stability_probe(charged_profile, spec, [0.0, 0.01], T=25 * dt,
+                             sample_every=10, seed=3)
+    base = lift_profile(charged_profile, spec, dt)
+    for run in report.runs:
+        start = base if run.mode is None else perturb(base, run.mode,
+                                                      run.eps, run.seed)
+        _assert_same_trace(run.trace, evolve(start, 25 * dt, dt, 10,
+                                             reference=base))
+    split = stability_probe(charged_profile, spec, [0.0, 0.01], T=25 * dt,
+                            sample_every=10, seed=3, workers=2)
+    assert (split.profile_norm, split.lift_offset) == (report.profile_norm,
+                                                       report.lift_offset)
+    for got, want in zip(split.runs, report.runs, strict=True):
+        _assert_same_trace(got.trace, want.trace)
+        got.trace = want.trace = None
+        assert got == want
+
+
+def test_batch_blow_up_leaves_the_other_rows_alone(spec, grid):
+    # a NaN node fails the first step, a Pi spike of 2e5 the 65th (the
+    # seventh chunk); each keeps its solo failure and the others run on
+    base = _pulse(spec, grid)
+    nan = base.clone()
+    nan.psi[5] = np.nan
+    spike = base.clone()
+    spike.pi[5] = 2e5j
+    starts = [base, nan, perturb(base, "velocity", 0.01), spike]
+    dt = 0.002
+    got = dynamics._evolve_batch(starts, base, 100 * dt, dt, 10)
+    for start, run in zip(starts, got, strict=True):
+        try:
+            want = evolve(start, 100 * dt, dt, 10, reference=base)
+        except BlowUpError as exc:
+            assert isinstance(run, BlowUpError)
+            assert (str(run), run.t) == (str(exc), exc.t)
+            _assert_same_trace(run.trace, exc.trace)
+        else:
+            _assert_same_trace(run, want)
+    assert [round(r.t / dt) if isinstance(r, BlowUpError) else None
+            for r in got] == [None, 1, None, 65]
+
+
+def test_rotation_picks_its_form_per_row():
+    # one row inside the series range and one beyond it: each row gets
+    # the form, and the bits, it gets alone
+    x = np.stack((np.linspace(-1e-4, 1e-4, 50), np.linspace(-0.2, 0.2, 50)))
+    rot = dynamics._rotation(x)
+    for j in range(2):
+        assert np.array_equal(rot[j], dynamics._rotation(x[j]))
+    assert not np.array_equal(rot[0], np.exp(-1j * x[0]))
+    assert np.array_equal(rot[1], np.exp(-1j * x[1]))
 
 
 def _local_fields(n, seed=3):

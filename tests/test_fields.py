@@ -275,6 +275,22 @@ def test_complex_laplacian_is_the_complex_stencil(r_max, n, rng):
     assert np.array_equal(g.laplacian(strided), _complex_stencil(g, charged))
 
 
+def test_batched_operators_act_row_by_row(grid, rng):
+    # a batch of fields, one per row, gives each row the bits it gets alone
+    rows = (rng.normal(size=(3, grid.n))
+            * np.exp(-(grid.r / 8.0) ** 2) * [[1.0], [1e-3], [1e4]])
+    lap = lambda f: (grid.laplacian(f),)
+    field = lambda f: fields.gauss_field(f, grid)
+    potential = lambda f: fields.gauss_potential(f, grid)
+    for batch, op in ((rows, lap), (rows + 1j * rows[::-1], lap),
+                      (rows, field), (rows, potential)):
+        got = op(batch)
+        for j, row in enumerate(batch):
+            for g, w in zip(got, op(row), strict=True):
+                assert g.shape == batch.shape
+                assert np.array_equal(g[j], w), (op, j)
+
+
 def _dirichlet(grid, u):
     """The descent's Dirichlet form -(wt u) . laplacian(u)."""
     return -float((grid.wt * u) @ grid.laplacian(u))

@@ -393,10 +393,6 @@ def _run_evolve(cfg, stage):
     report = stability_probe(prof, cfg.spec, sorted({0.0, *cfg.eps_list}),
                              cfg.T, cfg.dt, cfg.sample_every, cfg.modes,
                              cfg.seed, cfg.workers)
-    for r in report.runs:
-        if r.failure is not None:
-            raise r.failure
-
     runs = sorted(report.runs, key=lambda r: r.name)
     unperturbed = next(r for r in runs if r.mode is None)
     dt = unperturbed.trace.dt

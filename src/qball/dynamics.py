@@ -50,7 +50,8 @@ loss weights are built once per call of step, so once per chunk of n
 steps.  The monitors read Pi where the state stores it; evolve takes
 d_r psi once per sample and shares it between E and d.  The stability
 probe steps its runs as one batch, fields of shape (runs, n); no
-operation mixes rows, so each run keeps the bits it has stepped alone.
+operation mixes rows, so each run keeps the bits it has stepped alone,
+and the first run to blow up ends the batch as it ends its solo run.
 """
 
 import dataclasses
@@ -81,7 +82,8 @@ def max_dt(dr):
 
 
 class BlowUpError(RuntimeError):
-    """Fields went non-finite at time t; from step, rows: the failed rows."""
+    """Fields or monitors went non-finite at time t; trace: the partial
+    trace before it.  From step, rows: the rows of a batch that failed."""
 
     def __init__(self, message, t, trace=None):
         super().__init__(message)
@@ -191,26 +193,26 @@ def step(state, dt, n=1):
 
     Between two steps the closing and opening local half substeps are one
     full substep, so the n steps cost n + 1 local substeps and n Gauss
-    solves; n = 1 is one plain split step.  A batch state holds fields
-    of shape (rows, n) and one sponge_flux per row; no operation mixes
-    rows, so each comes out with the bits it gets stepped alone.  A
-    non-finite field raises BlowUpError at the end of the step that
-    produced it, naming the rows that failed.
+    solves; n = 1 is one plain split step, and a whole float n = 2.0
+    runs as 2.  A batch state holds fields of shape (rows, n) and one
+    sponge_flux per row; no operation mixes rows, so each comes out with
+    the bits it gets stepped alone.  A non-finite field raises BlowUpError
+    at the end of the step that produced it, naming the rows that failed.
     """
     grid, spec, q = state.grid, state.spec, state.q
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     if dt > max_dt(grid.dr):
         raise ValueError(f"dt exceeds the CFL bound {CFL_LIMIT:g} dr")
-    if n < 1:
-        raise ValueError("the step count n must be at least 1")
+    if n < 1 or n % 1:
+        raise ValueError("the step count n must be whole and at least 1")
     half = 0.5 * dt
     start, damp, loss = _sponge(grid, dt)
 
     psi, pi = _local(spec, q, state.psi, np.abs(state.psi), state.pi,
                      state.phi, half)
     t, flux = state.t, np.ravel(state.sponge_flux).tolist()
-    for remaining in range(n, 0, -1):
+    for remaining in range(int(n), 0, -1):
         psi = psi + half * pi
         lap = grid.laplacian(psi)
         lap *= dt
@@ -484,34 +486,26 @@ def evolve(state, T, dt=None, sample_every=10, reference=None):
     on n nodes against the lift on 2n - 1), so a smaller step buys no
     accuracy the grid keeps.  Started on the step's own lift, the
     unperturbed orbit is a pure rotation to about 1e-10.  The trace
-    records the dt taken.  sample_every must be a whole number of at
-    least 1.  A blow-up is re-raised carrying the partial trace.  This
-    is the one-row case of the stability probe's batched loop.
+    records the dt taken.  T must be finite and nonnegative, sample_every
+    a whole number of at least 1.  Fields that step finds non-finite, or
+    a later sample whose E, C, V or d leaves the float range (the start's
+    own is recorded as given), raise BlowUpError with its t and the
+    partial trace.  This is the one-row case of the probe's batch loop.
     """
     if dt is None:
         dt = DEFAULT_DT_FACTOR * state.grid.dr
     ref = reference if reference is not None else state.clone()
-    trace, = _evolve_batch([state], ref, T, dt, sample_every)
-    if isinstance(trace, BlowUpError):
-        raise trace
-    return trace
-
-
-def _take(batch, j):
-    """Row j of a batch state as a state, or rows j (a list) as a batch."""
-    return DynState(batch.grid, batch.spec, batch.q, batch.psi[j],
-                    batch.pi[j], batch.phi[j], batch.e_r[j], batch.t,
-                    batch.sponge_flux[j])
+    return _evolve_batch([state], ref, T, dt, sample_every)[0]
 
 
 def _evolve_batch(starts, ref, T, dt, sample_every):
     """evolve of each start (at one grid, spec, q and t) against ref as
-    one batch: per start its EvolutionTrace, or its BlowUpError carrying
-    the partial trace.  A failed row leaves the batch and the chunk is
-    stepped again from its start for the rest: the rows are independent.
+    one batch: per start its EvolutionTrace.  The first run to blow up
+    ends the batch; its BlowUpError has the message, t and partial trace
+    of evolve of that start alone.
     """
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    if not 0.0 <= T < np.inf:
+        raise ValueError("T must be finite and nonnegative")
     if sample_every < 1 or sample_every % 1:
         raise ValueError("sample_every must be a whole number of at least 1")
     sample_every = int(sample_every)
@@ -520,40 +514,41 @@ def _evolve_batch(starts, ref, T, dt, sample_every):
     e0, c0 = _energy(ref, dpsi0), dyn_charge(ref)
     n_steps = int(round(T / dt))
     samples = [[] for _ in starts]     # per start, rows in TRACE_COLUMNS
-    failed = {}
 
-    def sample(batch, live):
-        for j, i in enumerate(live):
-            s = _take(batch, j)
+    def build(rows):
+        return EvolutionTrace(*map(np.array, zip(*rows)), e0=e0, c0=c0,
+                              dt=dt)
+
+    def sample(batch):
+        for j, rows in enumerate(samples):
+            s = DynState(grid, s0.spec, s0.q, batch.psi[j], batch.pi[j],
+                         batch.phi[j], batch.e_r[j], batch.t,
+                         batch.sponge_flux[j])
             dpsi = grid.d_dr(s.psi)
             e, c = _energy(s, dpsi), dyn_charge(s)
-            samples[i].append((s.t, e, c, (e - e0) ** 2 + (c - c0) ** 2,
-                               _distance(s, dpsi, ref, dpsi0),
-                               float(np.max(np.abs(s.psi))), s.sponge_flux))
-
-    def build(i):
-        return EvolutionTrace(*map(np.array, zip(*samples[i])),
-                              e0=e0, c0=c0, dt=dt)
+            try:
+                v = (e - e0) ** 2 + (c - c0) ** 2
+            except OverflowError:   # finite E and C whose V overflows
+                v = np.inf
+            row = (s.t, e, c, v, _distance(s, dpsi, ref, dpsi0),
+                   float(np.max(np.abs(s.psi))), s.sponge_flux)
+            if rows and not np.isfinite(row[1:5]).all():  # after the start
+                raise BlowUpError("fields became non-finite", s.t,
+                                  build(rows))
+            rows.append(row)
 
     current = DynState(grid, s0.spec, s0.q, t=s0.t, **{
         name: np.stack([getattr(s, name) for s in starts])
         for name in ("psi", "pi", "phi", "e_r", "sponge_flux")})
-    live = list(range(len(starts)))
-    sample(current, live)
+    sample(current)
     for k in range(0, n_steps, sample_every):
-        while live:
-            try:
-                current = step(current, dt, min(sample_every, n_steps - k))
-                sample(current, live)
-                break
-            except BlowUpError as exc:
-                for j in exc.rows:
-                    failed[live[j]] = BlowUpError(str(exc), exc.t,
-                                                  build(live[j]))
-                keep = [j for j in range(len(live)) if j not in exc.rows]
-                live = [live[j] for j in keep]
-                current = _take(current, keep)
-    return [failed.get(i) or build(i) for i in range(len(starts))]
+        try:
+            current = step(current, dt, min(sample_every, n_steps - k))
+        except BlowUpError as exc:
+            exc.trace = build(samples[exc.rows[0]])
+            raise
+        sample(current)
+    return [build(rows) for rows in samples]
 
 
 @dataclasses.dataclass
@@ -561,8 +556,7 @@ class ProbeRun:
     """One evolution of the probe: its trace, growth ratio and label.
 
     The unperturbed run has mode None and eps 0 and stands for every
-    mode's eps = 0.  A blown-up run keeps its BlowUpError as failure,
-    its partial trace and NaN distances.
+    mode's eps = 0.
     """
     name: str
     mode: str | None
@@ -572,7 +566,6 @@ class ProbeRun:
     max_distance: float
     max_ratio: float          # max_t d / (eps * profile norm); 0 when eps = 0
     classification: str       # stable-like / marginal / unstable-like
-    failure: BlowUpError = None
 
 
 @dataclasses.dataclass
@@ -595,20 +588,8 @@ def classify_ratio(ratio):
 
 
 def _probe_batch(job):
-    """Worker: evolve a share of the probe's runs as one batch; classify."""
-    base, norm, T, dt, sample_every, plan, starts = job
-    runs = []
-    for (name, mode, eps, seed), trace in zip(plan, _evolve_batch(
-            starts, base, T, dt, sample_every)):
-        if isinstance(trace, BlowUpError):
-            runs.append(ProbeRun(name, mode, eps, seed, trace.trace, np.nan,
-                                 np.nan, "unstable-like", trace))
-            continue
-        dmax = float(np.max(trace.d))
-        ratio = dmax / (eps * norm) if eps != 0.0 else 0.0
-        runs.append(ProbeRun(name, mode, eps, seed, trace, dmax, ratio,
-                             classify_ratio(ratio)))
-    return runs
+    """Worker: evolve a share of the probe's runs as one batch."""
+    return _evolve_batch(*job)
 
 
 def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
@@ -630,8 +611,10 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
     not depend on `workers`.
 
     The ratio max_t d(t) / (eps ||profile||) is classified stable-like
-    below 10, marginal below 100, unstable-like above; a blow-up is
-    recorded in its run, not raised.
+    below 10, marginal below 100, unstable-like above.  A run that blows
+    up raises its BlowUpError, with the t and partial trace of evolve of
+    its start alone: the first to fail of its share, and of the first
+    share in plan order that fails.
     """
     if len(set(modes)) < len(modes) or len(set(eps_list)) < len(eps_list):
         raise ValueError("modes and eps_list must not repeat")
@@ -649,8 +632,14 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
               for _, mode, eps, run_seed in plan]
     shares = max(min(workers, len(plan)), 1)
     cuts = [len(plan) * k // shares for k in range(shares + 1)]
-    jobs = [(base, norm, T, dt, sample_every, plan[a:b], starts[a:b])
+    jobs = [(starts[a:b], base, T, dt, sample_every)
             for a, b in zip(cuts, cuts[1:]) if a < b]
-    runs = [run for batch in fan_out(_probe_batch, jobs, workers)
-            for run in batch]
+    traces = [trace for batch in fan_out(_probe_batch, jobs, workers)
+              for trace in batch]
+    runs = []
+    for (name, mode, eps, run_seed), trace in zip(plan, traces):
+        dmax = float(np.max(trace.d))
+        ratio = dmax / (eps * norm) if eps != 0.0 else 0.0
+        runs.append(ProbeRun(name, mode, eps, run_seed, trace, dmax, ratio,
+                             classify_ratio(ratio)))
     return StabilityReport(runs, norm, float(offset))

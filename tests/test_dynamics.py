@@ -41,6 +41,7 @@ from qball.dynamics import (
     _sponge,
 )
 from qball.fields import RadialGrid
+from qball.potential import PotentialSpec
 from qball.solver import solve_profile
 
 
@@ -211,8 +212,9 @@ def test_step_zero_field(spec, grid):
 
 def test_step_validation(spec, grid, monkeypatch):
     st = _pulse(spec, grid)
-    with pytest.raises(ValueError):
-        step(st, 0.0)
+    for dt in (0.0, np.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(st, dt)
     with pytest.raises(ValueError, match=f"CFL bound {CFL_LIMIT:g} dr"):
         step(st, 0.6 * grid.dr)
     # the message reads the bound the check applies
@@ -261,6 +263,25 @@ def test_blow_up_carries_time_and_partial_trace(spec, grid):
     assert err.value.t > 0.0
     assert err.value.trace is not None
     assert err.value.trace.t.size >= 1
+
+
+def test_monitor_overflow_is_a_blow_up():
+    # a linear field of amplitude 1e100 stays finite, but E is about 1e203,
+    # so V = (E - e0)^2 leaves the float range at the first sample after a
+    # step: a blow-up, with that sample's t and the trace before it
+    grid = RadialGrid(40.0, 400)
+    psi = 1e100 * np.exp(-((grid.r - 10.0) / 3.0) ** 2).astype(complex)
+    st = DynState(grid, PotentialSpec("pure_mass"), 0.0, psi,
+                  np.zeros(grid.n, complex), np.zeros(grid.n),
+                  np.zeros(grid.n))
+    end = step(st, DEFAULT_DT_FACTOR * grid.dr, 5)
+    assert np.isfinite(end.psi).all() and np.isfinite(end.pi).all()
+    assert 1e200 < dyn_energy(end) < np.inf
+    with pytest.raises(BlowUpError, match="fields became non-finite") as err:
+        evolve(st, 1.0, sample_every=5)
+    assert err.value.t == end.t
+    assert list(err.value.trace.t) == [0.0]
+    assert list(err.value.trace.V) == [0.0]
 
 
 def _single_steps(state, dt, n):
@@ -421,6 +442,12 @@ def test_evolve_rejects_a_bad_sample_every(neutral_lift, sample_every):
         evolve(neutral_lift, 0.05, sample_every=sample_every)
 
 
+@pytest.mark.parametrize("T", [-0.05, np.nan, np.inf])
+def test_evolve_rejects_a_bad_horizon(neutral_lift, T):
+    with pytest.raises(ValueError, match="T must be finite and nonnegative"):
+        evolve(neutral_lift, T)
+
+
 def test_evolve_takes_a_whole_float_sample_every(neutral_lift):
     want = evolve(neutral_lift, 0.05, sample_every=2)
     got = evolve(neutral_lift, 0.05, sample_every=2.0)
@@ -433,7 +460,6 @@ def test_stability_probe_neutral(spec, grid, neutral_profile):
                              T=10.0, sample_every=20)
     assert len(report.runs) == 1 + 2 * len(PERTURBATION_MODES)
     for run in report.runs:
-        assert run.failure is None
         assert run.classification == "stable-like"
     for mode in PERTURBATION_MODES:
         # the unperturbed run is every mode's eps = 0
@@ -494,28 +520,49 @@ def test_probe_runs_equal_their_solo_evolutions(spec, grid, charged_profile):
         assert got == want
 
 
-def test_batch_blow_up_leaves_the_other_rows_alone(spec, grid):
+def test_batch_raises_its_earliest_blow_up(spec, grid):
     # a NaN node fails the first step, a Pi spike of 2e5 the 65th (the
-    # seventh chunk); each keeps its solo failure and the others run on
+    # seventh chunk): a batch raises its earliest failure, in whatever
+    # row, as evolve of that start alone raises it
     base = _pulse(spec, grid)
     nan = base.clone()
     nan.psi[5] = np.nan
     spike = base.clone()
     spike.pi[5] = 2e5j
-    starts = [base, nan, perturb(base, "velocity", 0.01), spike]
+    kicked = perturb(base, "velocity", 0.01)
     dt = 0.002
-    got = dynamics._evolve_batch(starts, base, 100 * dt, dt, 10)
-    for start, run in zip(starts, got, strict=True):
-        try:
-            want = evolve(start, 100 * dt, dt, 10, reference=base)
-        except BlowUpError as exc:
-            assert isinstance(run, BlowUpError)
-            assert (str(run), run.t) == (str(exc), exc.t)
-            _assert_same_trace(run.trace, exc.trace)
-        else:
-            _assert_same_trace(run, want)
-    assert [round(r.t / dt) if isinstance(r, BlowUpError) else None
-            for r in got] == [None, 1, None, 65]
+    solo = {}
+    for name, start in (("nan", nan), ("spike", spike)):
+        with pytest.raises(BlowUpError) as err:
+            evolve(start, 100 * dt, dt, 10, reference=base)
+        solo[name] = err.value
+    assert round(solo["nan"].t / dt) == 1
+    assert round(solo["spike"].t / dt) == 65
+    for starts, first in (([base, nan, kicked, spike], "nan"),
+                          ([base, spike, kicked, nan], "nan"),
+                          ([base, kicked, spike], "spike")):
+        with pytest.raises(BlowUpError) as err:
+            dynamics._evolve_batch(starts, base, 100 * dt, dt, 10)
+        want = solo[first]
+        assert (str(err.value), err.value.t) == (str(want), want.t)
+        _assert_same_trace(err.value.trace, want.trace)
+
+
+def test_probe_raises_the_blow_up_of_one_share(spec):
+    # on two workers the kick of 1000 is a share of its own: the probe
+    # raises its solo BlowUpError, partial trace included, across the pool
+    grid = RadialGrid(20.0, 600)
+    profile = solve_profile(spec, 0.8, 0.01, grid)
+    dt = DEFAULT_DT_FACTOR * grid.dr
+    base = lift_profile(profile, spec, dt)
+    with pytest.raises(BlowUpError) as solo:
+        evolve(perturb(base, "amplitude", 1000.0), 1.0, dt, 20,
+               reference=base)
+    with pytest.raises(BlowUpError) as err:
+        stability_probe(profile, spec, [0.0, 1000.0], T=1.0,
+                        sample_every=20, modes=("amplitude",), workers=2)
+    assert (str(err.value), err.value.t) == (str(solo.value), solo.value.t)
+    _assert_same_trace(err.value.trace, solo.value.trace)
 
 
 def test_rotation_picks_its_form_per_row():
@@ -610,9 +657,12 @@ def test_step_count_matches_single_steps(spec, charged_profile):
 
 def test_step_count_validation(spec, grid):
     st = _pulse(spec, grid)
-    for n in (0, -1):
-        with pytest.raises(ValueError):
+    for n in (0, -1, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step count"):
             step(st, 0.002, n)
+    # a whole float count runs as that many steps
+    want, got = step(st, 0.002, 2), step(st, 0.002, 2.0)
+    assert np.array_equal(got.psi, want.psi) and got.t == want.t
 
 
 def test_blow_up_names_the_failing_step_of_a_chunk(spec, grid):

@@ -108,9 +108,9 @@ _SCHEMA = {
     ("charge", "q_range"): (_floats, None, _NONNEGATIVE),
     ("solver", "omega_list"): (_floats, DEFAULT_OMEGA_LIST, _POSITIVE),
     ("solver", "delta_list"): (_floats, (), _POSITIVE),
-    ("solver", "tol"): (float, 1e-6, _POSITIVE),
-    ("solver", "flow_max_iter"): (int, 6000, (1, False)),
-    ("solver", "flow_res_tol"): (float, 5e-5, _POSITIVE),
+    ("solver", "tol"): (float, SolveOptions.tol, _POSITIVE),
+    ("solver", "flow_max_iter"): (int, SolveOptions.flow_max_iter, (1, False)),
+    ("solver", "flow_res_tol"): (float, SolveOptions.flow_res_tol, _POSITIVE),
     ("dynamics", "T"): (float, 50.0, _POSITIVE),
     ("dynamics", "dt"): (float, None, _POSITIVE),
     ("dynamics", "eps_list"): (_floats, (0.0, 0.01), _NONNEGATIVE),
@@ -240,11 +240,8 @@ def _validate(pairs, lines):
         q_values = tuple(float(q) for q in np.linspace(lo, hi, int(count)))
         _distinct_names("q_range", q_values, line)
 
-    try:
-        solve_opts = SolveOptions(**{
-            f.name: v[f.name] for f in dataclasses.fields(SolveOptions)})
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from None
+    solve_opts = SolveOptions(**{
+        f.name: v[f.name] for f in dataclasses.fields(SolveOptions)})
     dr = v["r_max"] / (v["n"] - 1)      # the spacing of RadialGrid(r_max, n)
     if v["dt"] is not None and v["dt"] > max_dt(dr):
         raise ConfigError(f"dt: exceeds the CFL bound {CFL_LIMIT:g} dr = "
@@ -364,8 +361,8 @@ def _run_solve(cfg, stage):
                          prof.res1, prof.res2, prof.u0, prof.newton_iters,
                          prof.flow_iters))
             name = f"profile_{kind}{value:g}_q{q:g}.txt"
-            prof.state.save(os.path.join(stage, name), m=cfg.spec.m,
-                            omega=prof.omega,
+            prof.state.save(os.path.join(stage, name), prof.phi,
+                            m=cfg.spec.m, omega=prof.omega,
                             delta=value if kind == "delta" else None)
     n_points = len(rows) + len(failures)
     _write_csv(os.path.join(stage, "sweep.csv"),

@@ -540,14 +540,16 @@ def _evolve_batch(starts, ref, T, dt, sample_every):
     current = DynState(grid, s0.spec, s0.q, t=s0.t, **{
         name: np.stack([getattr(s, name) for s in starts])
         for name in ("psi", "pi", "phi", "e_r", "sponge_flux")})
-    sample(current)
-    for k in range(0, n_steps, sample_every):
-        try:
-            current = step(current, dt, min(sample_every, n_steps - k))
-        except BlowUpError as exc:
-            exc.trace = build(samples[exc.rows[0]])
-            raise
+    # a blow-up is raised as BlowUpError below, not warned about per op
+    with np.errstate(over="ignore", invalid="ignore"):
         sample(current)
+        for k in range(0, n_steps, sample_every):
+            try:
+                current = step(current, dt, min(sample_every, n_steps - k))
+            except BlowUpError as exc:
+                exc.trace = build(samples[exc.rows[0]])
+                raise
+            sample(current)
     return [build(rows) for rows in samples]
 
 

@@ -171,26 +171,18 @@ class FieldState:
     def arrays(self):
         return (self.u, self.u_hat, self.theta, self.Theta, self.E_r)
 
-    def save(self, path, m=None, omega=None, delta=None):
-        header = {"q": self.q, "r_max": self.grid.r_max, "n": self.grid.n}
-        if m is not None:
-            header["m"] = m
-        if omega is not None:
-            header["omega"] = omega
+    def save(self, path, phi, m, omega, delta=None):
+        """Profile file of the pair (state, phi) the solver returned: header
+        q, r_max, n, m, omega[, delta], then the PROFILE_COLUMNS rows, whose
+        phi column is the phi given."""
+        header = {"q": self.q, "r_max": self.grid.r_max, "n": self.grid.n,
+                  "m": m, "omega": omega}
         if delta is not None:
             header["delta"] = delta
-        phi = potential_from_field(self.E_r, self.grid)
         cols = dict(zip(PROFILE_COLUMNS,
                         (self.grid.r, self.u, self.u_hat, self.theta,
                          self.Theta, self.E_r, phi)))
         write_columnar(path, header, cols)
-
-    @classmethod
-    def load(cls, path):
-        header, cols = read_columnar(path)
-        grid = RadialGrid(header["r_max"], int(header["n"]))
-        return cls(grid, cols["u"], cols["u_hat"], cols["theta"],
-                   cols["Theta"], cols["E_r"], header.get("q", 0.0))
 
 
 def _require_finite(state):
@@ -356,36 +348,6 @@ def write_columnar(path, header, columns):
         for i in range(0, len(data), 256):
             rows = map(tuple, data[i:i + 256].tolist())
             f.writelines(fmt % row for row in rows)
-
-
-def read_columnar(path):
-    """Inverse of write_columnar: returns (header dict, column dict)."""
-    header = {}
-    names = None
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    k = k.strip()
-                    if k == "columns":
-                        names = v.split()
-                    else:
-                        try:
-                            header[k] = int(v) if v.lstrip("+-").isdigit() else float(v)
-                        except ValueError:
-                            header[k] = v
-                continue
-            rows.append([float(x) for x in line.split()])
-    data = np.asarray(rows)
-    if names is None:
-        names = list(PROFILE_COLUMNS[:data.shape[1]])
-    return header, {k: data[:, j] for j, k in enumerate(names)}
 
 
 def fan_out(fn, payloads, workers):

@@ -76,9 +76,9 @@ TINY_DIGESTS = {
     "threshold/threshold.txt":
         "3f5dffab54b95980c0ec7bd2afd068ec3611d0b1edb6f15444b6c678be4d4172",
     "solve/profile_omega0.7_q0.01.txt":
-        "0991a47f6c753fc2644e9f3be9f998d1cdd6bd7586a6576766c8e1e3c507a066",
+        "d659d77695f171d2a7b32cbf285832ebb6706aa8161cceccb8f836f96009f1f8",
     "solve/profile_omega0.8_q0.01.txt":
-        "75569944f3beda8b083bb841f0640d3e2288629002bd202f7b0401a0dfa2045b",
+        "b75d6d9935899b92bfc6ab28fa694cb4b0b44f7b079aad95b3a51fa7498432e2",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
@@ -552,8 +552,8 @@ def test_solve_rows_are_the_library_sweeps(tmp_path):
                 assert row["newton_iters"] == str(prof.newton_iters)
                 assert row["flow_iters"] == str(prof.flow_iters).lower()
                 delta = value if kind == "delta" else None
-                prof.state.save(ref, m=cfg.spec.m, omega=prof.omega,
-                                delta=delta)
+                prof.state.save(ref, prof.phi, m=cfg.spec.m,
+                                omega=prof.omega, delta=delta)
                 name = f"profile_{kind}{value:g}_q{q:g}.txt"
                 assert (out / name).read_bytes() == ref.read_bytes(), name
 
@@ -716,9 +716,9 @@ def test_artifact_digests_frozen(tmp_path):
 # TINY_DIGESTS entry covers the descent route
 DELTA_DIGESTS = {
     "profile_delta0.0002_q0.01.txt":
-        "bd70179b3f505ca1e93d0d0991c3650fea4acbbd3db7ffd7faafe77c31460131",
+        "0ddcf2be8ea17f665dc46fe10e68d2708a603a264d0400a4063ee8e504a4d233",
     "profile_omega0.8_q0.01.txt":
-        "cf27a2ce0370bf06c31cdc5557db864167264f770ec791618a6fb1474c0902c5",
+        "b2ad071eef206b93ebe8ea21c9cb76b8a55376c145c5c431c82c8829f1d0ad87",
     "solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "sweep.csv":

@@ -9,6 +9,7 @@ integrator is expected to hold at the default resolution.
 """
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -563,6 +564,20 @@ def test_probe_raises_the_blow_up_of_one_share(spec):
                         sample_every=20, modes=("amplitude",), workers=2)
     assert (str(err.value), err.value.t) == (str(solo.value), solo.value.t)
     _assert_same_trace(err.value.trace, solo.value.trace)
+
+
+def test_blow_up_raises_without_numpy_warnings(spec):
+    # the fields overflow on their way out of the float range; the blow-up
+    # is reported once, as BlowUpError, not as a RuntimeWarning per op.
+    # The profile solve warns of its visible tail and stays outside
+    grid = RadialGrid(20.0, 600)
+    profile = solve_profile(spec, 0.8, 0.01, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lift = lift_profile(profile, spec, 0.45 * grid.dr)
+        with pytest.raises(BlowUpError) as err:
+            evolve(perturb(lift, "noise", 1000.0, 3), 10.0, reference=lift)
+    assert err.value.t == 0.09015025041736226
 
 
 def test_rotation_picks_its_form_per_row():

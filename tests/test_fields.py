@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qball import fields
 from qball.fields import (
-    FieldState, RadialGrid, ZeroShellChargeError, functionals, gauss_residual,
-    local_ratio, solve_poisson)
+    PROFILE_COLUMNS, FieldState, RadialGrid, ZeroShellChargeError,
+    functionals, gauss_residual, local_ratio, solve_poisson)
 from qball.potential import PotentialSpec, default_potential
+from qball.solver import solve_profile
 
 from conftest import smooth_random_state
 
@@ -320,15 +321,22 @@ def test_dirichlet_grad_is_exact_derivative(grid, rng):
 
 # ---- serialization ----
 
-def test_columnar_roundtrip(tmp_path, grid, rng):
-    st_ = smooth_random_state(grid, rng, q=0.25)
-    p = tmp_path / "state.dat"
-    st_.save(p, m=1.0, omega=0.8)
-    back = FieldState.load(p)
-    assert back.grid == grid
-    assert back.q == st_.q
-    for a, b in zip(st_.arrays(), back.arrays()):
-        assert np.array_equal(a, b)      # %.17g round-trips float64
+def test_profile_file_holds_the_solved_pair(tmp_path, spec):
+    # the phi column is the solver's phi, not one rebuilt from E_r; %.17g
+    # round-trips float64, so every column reads back bit for bit
+    g = RadialGrid(20.0, 600)
+    with pytest.warns(RuntimeWarning, match="profile tail"):
+        prof = solve_profile(spec, 0.8, 0.01, g)
+    p = tmp_path / "profile.txt"
+    prof.state.save(p, prof.phi, m=spec.m, omega=prof.omega)
+    lines = p.read_text().splitlines()
+    assert lines[:6] == [f"# q={prof.q:.17g}", "# r_max=20", "# n=600",
+                         f"# m={spec.m:.17g}", f"# omega={prof.omega:.17g}",
+                         "# columns=" + " ".join(PROFILE_COLUMNS)]
+    cols = np.loadtxt(p, unpack=True)
+    for got, want in zip(cols, (g.r, *prof.state.arrays(), prof.phi),
+                         strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_columnar_rows_are_per_value_17g(tmp_path):

@@ -47,8 +47,9 @@ max |x| < SERIES_RANGE (the truncation error, x^4/24, is then below
 3e-15) and from the closed form otherwise.  The Gauss solve inside a
 step skips solve_poisson's input checks, and the sponge's damping and
 loss weights are built once per call of step, so once per chunk of n
-steps.  The monitors read Pi where the state stores it; evolve takes
-d_r psi once per sample and shares it between E and d.  The stability
+steps.  The monitors read Pi where the state stores it, and their E
+and norm are fields.energy_norm's, the energy the wave part of the step
+conserves; the samples call the public monitors.  The stability
 probe steps its runs as one batch, fields of shape (runs, n); no
 operation mixes rows, so each run keeps the bits it has stepped alone,
 and the first run to blow up ends the batch as it ends its solo run.
@@ -58,7 +59,7 @@ import dataclasses
 
 import numpy as np
 
-from .fields import (energy_norm, fan_out, gauss_potential, norm_sq,
+from .fields import (energy_inner, energy_norm, fan_out, gauss_potential,
                      solve_poisson)
 from .solver import _lapack
 
@@ -346,19 +347,10 @@ def _discrete_lift(lift, omega, dt):
         x += delta
 
 
-def _norm_terms(pi, dpsi, psi, e_r):
-    """(k2, s) of fields.norm_sq: |pi|^2 + |dpsi|^2 + e_r^2 and |psi|."""
-    return np.abs(pi) ** 2 + np.abs(dpsi) ** 2 + e_r ** 2, np.abs(psi)
-
-
-def _energy(state, dpsi):
-    return energy_norm(state.spec, state.grid.w,
-                       *_norm_terms(state.pi, dpsi, state.psi, state.e_r))[0]
-
-
 def dyn_energy(state):
-    """E = (1/2) int (|D_t psi|^2 + |d_r psi|^2 + E_r^2) + int W(|psi|)."""
-    return _energy(state, state.grid.d_dr(state.psi))
+    """fields.energy_norm's E = 1/2 int (|Pi|^2 + |psi'|^2 + E_r^2) + int W."""
+    pi2 = (state.pi * np.conj(state.pi)).real
+    return energy_norm(state.spec, state.grid, pi2, state.psi, state.e_r)[0]
 
 
 def dyn_charge(state):
@@ -367,21 +359,16 @@ def dyn_charge(state):
 
 
 def dyn_norm_sq(state):
-    """int (|D_t psi|^2 + |d_r psi|^2 + m^2 |psi|^2 + E_r^2)."""
-    return norm_sq(state.spec, state.grid.w, *_norm_terms(
-        state.pi, state.grid.d_dr(state.psi), state.psi, state.e_r))
+    """fields.energy_norm's int (|Pi|^2 + |psi'|^2 + m^2 |psi|^2 + E_r^2)."""
+    pi2 = (state.pi * np.conj(state.pi)).real
+    return energy_norm(state.spec, state.grid, pi2, state.psi, state.e_r)[1]
 
 
-def _distance(state, dpsi, ref, dpsi0):
-    g = state.grid
-    m2 = state.spec.m ** 2
-    z = complex(g.w @ (state.pi * np.conj(ref.pi) + dpsi * np.conj(dpsi0)
-                       + m2 * state.psi * np.conj(ref.psi)))
-    rot = z / abs(z) if z != 0.0 else 1.0
-    d2 = norm_sq(state.spec, g.w, *_norm_terms(
-        state.pi - rot * ref.pi, dpsi - rot * dpsi0,
-        state.psi - rot * ref.psi, state.e_r - ref.e_r))
-    return np.sqrt(max(d2, 0.0))
+def _distance(state, ref, rot=1.0):
+    """||state - ref|| in the energy norm, ref's matter pair turned by rot."""
+    return np.sqrt(dyn_norm_sq(dataclasses.replace(
+        state, psi=state.psi - rot * ref.psi, pi=state.pi - rot * ref.pi,
+        e_r=state.e_r - ref.e_r)))
 
 
 def orbit_distance(state, ref):
@@ -391,8 +378,9 @@ def orbit_distance(state, ref):
     phase of the cross inner product, and the distance is evaluated as
     an explicit difference so near-identical states do not cancel.
     """
-    return _distance(state, state.grid.d_dr(state.psi), ref,
-                     ref.grid.d_dr(ref.psi))
+    z = energy_inner(state.spec, state.grid, state.pi, state.psi, ref.pi,
+                     ref.psi)
+    return _distance(state, ref, z / abs(z) if z != 0.0 else 1.0)
 
 
 def perturb(state, mode, eps, seed=0):
@@ -434,20 +422,11 @@ def perturb(state, mode, eps, seed=0):
         trial.psi = state.psi + scale * d_psi
         trial.pi = state.pi + scale * d_pi
         trial = constrain(trial)
-        dist = _plain_distance(trial, state)
+        dist = _distance(trial, state)
         if abs(dist - target) <= 1e-9 * max(1.0, target):
             break
         scale *= target / dist
     return trial
-
-
-def _plain_distance(state, ref):
-    """Energy-norm distance without the phase minimization."""
-    g = state.grid
-    diff = state.psi - ref.psi
-    d2 = norm_sq(state.spec, g.w, *_norm_terms(
-        state.pi - ref.pi, g.d_dr(diff), diff, state.e_r - ref.e_r))
-    return np.sqrt(max(d2, 0.0))
 
 
 @dataclasses.dataclass
@@ -510,8 +489,7 @@ def _evolve_batch(starts, ref, T, dt, sample_every):
         raise ValueError("sample_every must be a whole number of at least 1")
     sample_every = int(sample_every)
     grid, s0 = starts[0].grid, starts[0]
-    dpsi0 = ref.grid.d_dr(ref.psi)
-    e0, c0 = _energy(ref, dpsi0), dyn_charge(ref)
+    e0, c0 = dyn_energy(ref), dyn_charge(ref)
     n_steps = int(round(T / dt))
     samples = [[] for _ in starts]     # per start, rows in TRACE_COLUMNS
 
@@ -524,13 +502,12 @@ def _evolve_batch(starts, ref, T, dt, sample_every):
             s = DynState(grid, s0.spec, s0.q, batch.psi[j], batch.pi[j],
                          batch.phi[j], batch.e_r[j], batch.t,
                          batch.sponge_flux[j])
-            dpsi = grid.d_dr(s.psi)
-            e, c = _energy(s, dpsi), dyn_charge(s)
+            e, c = dyn_energy(s), dyn_charge(s)
             try:
                 v = (e - e0) ** 2 + (c - c0) ** 2
             except OverflowError:   # finite E and C whose V overflows
                 v = np.inf
-            row = (s.t, e, c, v, _distance(s, dpsi, ref, dpsi0),
+            row = (s.t, e, c, v, orbit_distance(s, ref),
                    float(np.max(np.abs(s.psi))), s.sponge_flux)
             if rows and not np.isfinite(row[1:5]).all():  # after the start
                 raise BlowUpError("fields became non-finite", s.t,
@@ -624,7 +601,7 @@ def stability_probe(profile, spec, eps_list, T, dt=None, sample_every=10,
         dt = DEFAULT_DT_FACTOR * profile.state.grid.dr
     base = lift_profile(profile, spec, dt)
     norm = float(np.sqrt(dyn_norm_sq(base)))
-    offset = _plain_distance(base, lift_profile(profile, spec)) / norm
+    offset = _distance(base, lift_profile(profile, spec)) / norm
     kicks = [(mode, eps) for mode in modes for eps in eps_list if eps != 0.0]
     plan = [(f"{mode}_eps{eps:g}", mode, eps, seed + k)
             for k, (mode, eps) in enumerate(kicks, start=1)]

@@ -17,6 +17,8 @@ by gauss_residual applies the exact inverse of that construction, so a
 solved field has residual at roundoff level by design.  The Gauss-law
 helpers take and return the field E_r = -phi' that a state stores, in
 program units: E_r = Q(r)/r^2 with Q = int_0^r source v^2 dv, no 4 pi.
+energy_norm is the one energy and norm: its gradient term is the face
+form of the same stencil, its field term runs on past r_max (Coulomb).
 The Laplacian and Gauss-law integrals treat a batch of fields by row.
 fan_out imports the process pool only when it runs more than one worker.
 """
@@ -95,8 +97,11 @@ class RadialGrid:
         self._pair_rm2 = np.repeat(self._rm2, 2)
         self._pair_inv_scale = np.repeat(1.0 / self.dr2_r2, 2)
         self._inv_dr2 = 1.0 / self.dr ** 2
+        # weight of |f_{i+1} - f_i|^2 on the face r_{i+1/2}, the last one
+        # the zero ghost's: 4 pi r_{i+1/2}^2 dr / dr^2
+        self.face_w = FOUR_PI * self._rp2 / self.dr
         for a in (self.r2, self.dr2_r2, self.wt, self._pair_rp2,
-                  self._pair_rm2, self._pair_inv_scale):
+                  self._pair_rm2, self._pair_inv_scale, self.face_w):
             a.flags.writeable = False
 
     def __eq__(self, other):
@@ -193,42 +198,59 @@ def _require_finite(state):
 
 @dataclasses.dataclass
 class Functionals:
-    """Energy/charge record with the quadratic/nonlinear decomposition."""
+    """Energy, charge and energy norm of a state."""
 
     energy: float
     charge: float
     energy_norm_sq: float
-    quadratic: float        # (1/2) int (u_hat^2 + |grad u|^2 + theta^2 + Theta^2 + E^2)
-    nonlinear: float        # int N(u)
 
 
-def norm_sq(spec, w, k2, s):
-    """||.||^2 = int (k2 + m^2 s^2) under the quadrature weights w."""
-    return float(w @ (k2 + spec.m ** 2 * (s * s)))
+def _faces(f):
+    """f_{i+1} - f_i on the faces r_{i+1/2}, the last one to the zero ghost."""
+    df = np.empty_like(f)
+    np.subtract(f[1:], f[:-1], out=df[:-1])
+    df[-1] = -f[-1]
+    return df
 
 
-def energy_norm(spec, w, k2, s):
-    """(E, ||.||^2, int N(s)) with E = ||.||^2 / 2 + int N(s): the one energy.
-
-    k2 sums the squares of the time, radial and field parts of a state
-    and s is the modulus of its matter field, |u| or |psi|.
+def energy_norm(spec, grid, k2, f, e_r, shell=None):
+    """(E, ||.||^2) from the time parts' squares k2, the matter field f (u
+    or psi) and the field e_r: E = (1/2) int (k2 + |grad f|^2 + E_r^2)
+    + int W(|f|); the norm has m^2 |f|^2 in place of 2 W(|f|).  The
+    gradient term (1/2) sum 4 pi r_{i+1/2}^2 dr |(f_{i+1} - f_i)/dr|^2
+    includes the ghost face: it is -(1/2) (wt f) . laplacian(f), which
+    the Newton makes stationary and the wave step conserves.  The field
+    term adds 2 pi r_max^3 E_r(r_max)^2 outside r_max.  A node mask
+    shell keeps its nodes, the faces between two and no exterior term.
     """
-    norm = norm_sq(spec, w, k2, s)
-    nonlinear = float(w @ spec.n(s))
-    return 0.5 * norm + nonlinear, norm, nonlinear
+    w, face_w = grid.w, grid.face_w
+    exterior = FOUR_PI * grid.r_max ** 3 * e_r[-1] ** 2
+    if shell is not None:
+        w = np.where(shell, w, 0.0)
+        face_w = np.where(shell & np.append(shell[1:], False), face_w, 0.0)
+        exterior = 0.0
+    df = _faces(f)
+    norm = float(w @ (k2 + e_r * e_r + spec.m ** 2 * (f * np.conj(f)).real)
+                 + face_w @ (df * np.conj(df)).real + exterior)
+    return 0.5 * norm + float(w @ spec.n(np.abs(f))), norm
 
 
-def functionals(state, spec, w=None):
-    """Energy, charge and energy norm in one pass, under weights w or g.w:
-    E = (1/2) int (u_hat^2 + |grad u|^2 + theta^2 + Theta^2 + E^2) + int W(u)
-    and C = int theta u; the norm has m^2 u^2 in place of 2 W(u)."""
+def energy_inner(spec, grid, k, f, k_ref, f_ref):
+    """energy_norm's matter inner product <(k, f), (k_ref, f_ref)>."""
+    return complex(np.vdot(k_ref, grid.w * k)
+                   + spec.m ** 2 * np.vdot(f_ref, grid.w * f)
+                   + np.vdot(_faces(f_ref), grid.face_w * _faces(f)))
+
+
+def functionals(state, spec, shell=None):
+    """Energy, charge and energy norm on the grid or a shell (energy_norm
+    of time parts u_hat, theta, Theta and field u), C = int theta u."""
     _require_finite(state)
-    w = state.grid.w if w is None else w
-    k2 = (state.u_hat ** 2 + state.grid.d_dr(state.u) ** 2 + state.theta ** 2
-          + state.Theta ** 2 + state.E_r ** 2)
-    e, norm, nonlinear = energy_norm(spec, w, k2, np.abs(state.u))
-    return Functionals(e, float(w @ (state.theta * state.u)), norm,
-                       0.5 * float(w @ k2), nonlinear)
+    w = state.grid.w if shell is None else np.where(shell, state.grid.w, 0.0)
+    e, norm = energy_norm(spec, state.grid, state.u_hat ** 2
+                          + state.theta ** 2 + state.Theta ** 2,
+                          state.u, state.E_r, shell)
+    return Functionals(e, float(w @ (state.theta * state.u)), norm)
 
 
 def local_ratio(state, r_lo, r_hi, spec):
@@ -236,8 +258,7 @@ def local_ratio(state, r_lo, r_hi, spec):
     g = state.grid
     if not (0.0 <= r_lo < r_hi <= g.r_max):
         raise ValueError("need 0 <= r_lo < r_hi <= r_max")
-    shell = functionals(state, spec,
-                        np.where((g.r >= r_lo) & (g.r <= r_hi), g.w, 0.0))
+    shell = functionals(state, spec, (g.r >= r_lo) & (g.r <= r_hi))
     if shell.charge == 0.0:
         raise ZeroShellChargeError("shell carries no charge, ratio undefined")
     return 0.5 * shell.energy_norm_sq / abs(shell.charge)

@@ -24,8 +24,9 @@ import warnings
 
 import numpy as np
 
-from .fields import (FieldState, RadialGrid, cumulative_charge_adjoint,
-                     functionals, gauss_field, potential_from_field)
+from .fields import (FOUR_PI, FieldState, RadialGrid,
+                     cumulative_charge_adjoint, energy_norm, functionals,
+                     gauss_field, potential_from_field)
 # kept for bench/test_bench.py::test_tracer_wraps_every_binding_and_restores
 from .fields import solve_poisson  # noqa: F401
 from .potential import _real_roots
@@ -332,9 +333,11 @@ def newton_polish(spec, omega, q, grid, u, phi, history=None):
 
 def _assemble(spec, omega, q, grid, u, phi, res1, res2, **record):
     theta = -(omega - q * phi) * u
+    # E_r = -phi', at r_max the Coulomb tail phi/r the Newton imposes
+    e_r = -grid.d_dr(phi)
+    e_r[-1] = phi[-1] / grid.r_max
     state = FieldState(grid=grid, u=u.copy(), u_hat=np.zeros(grid.n),
-                       theta=theta, Theta=np.zeros(grid.n),
-                       E_r=-grid.d_dr(phi), q=q)
+                       theta=theta, Theta=np.zeros(grid.n), E_r=e_r, q=q)
     f = functionals(state, spec)
     u0 = float(u[0])
     tail_ratio = float(abs(u[-2]) / max(abs(u0), 1e-300))
@@ -381,28 +384,24 @@ def solve_profile(spec, omega, q, grid, opts=None, init_u=None):
 def _flow_energy(spec, q, grid, u, theta):
     """Energy, charge, the Gauss-law field E_r and the Laplacian of u.
 
-    Returns (E, C, e_field, lap); _j_grad needs e_field for the exact
-    adjoint and lap for the Dirichlet term.
+    E is fields.energy_norm's of the pair.  Returns (E, C, e_field, lap);
+    _j_grad needs e_field for the exact adjoint and lap for the gradient
+    of the face-form Dirichlet term, -wt lap u.
     """
-    w = grid.w
     e_field = np.zeros(grid.n)
     if q != 0.0:
         _, e_field = gauss_field(-q * theta * u, grid)
-    lap = grid.laplacian(u)
-    energy = 0.5 * np.dot(w, theta * theta) \
-        - 0.5 * np.dot(grid.wt * u, lap) \
-        + np.dot(w, spec.w(u)) \
-        + 0.5 * np.dot(w, e_field * e_field)
-    charge = np.dot(w, theta * u)
-    return energy, charge, e_field, lap
+    energy = energy_norm(spec, grid, theta * theta, u, e_field)[0]
+    charge = np.dot(grid.w, theta * u)
+    return energy, charge, e_field, grid.laplacian(u)
 
 
 def _j_grad(spec, q, grid, delta, u, theta, energy, charge, e_field, lap):
     """Euclidean gradient (g_u, g_theta) of J = E/|C| + delta E^2.
 
     energy, charge, e_field and lap are _flow_energy at (u, theta).  The
-    partials of E carry the exact adjoint of the Gauss-law field; those
-    of C are w theta and w u.
+    partials of E carry the exact adjoint of the Gauss-law field, exterior
+    Coulomb term included; those of C are w theta and w u.
     """
     w = grid.w
     de_u = w * spec.wp(u) - grid.wt * lap
@@ -410,6 +409,7 @@ def _j_grad(spec, q, grid, delta, u, theta, energy, charge, e_field, lap):
     if q != 0.0:
         g_q = np.zeros(grid.n)
         g_q[1:] = w[1:] * e_field[1:] / grid.r[1:] ** 2
+        g_q[-1] += FOUR_PI * grid.r_max * e_field[-1]
         ds = cumulative_charge_adjoint(g_q, grid)
         de_th += -q * u * ds
         de_u += -q * theta * ds
@@ -514,8 +514,10 @@ def minimize_J(spec, q, grid, delta, u, theta, opts=None):
                 raise ChargeCollapseError(
                     "charge fell to its floor during descent; "
                     "no constrained minimum along this path")
-            raise ConvergenceError(
-                "line search could not reduce J after 20 halvings")
+            # a last trial within the stall tolerance is J's roundoff floor
+            if not abs(cost_n - cost) < FLOW_TOL * (1.0 + abs(cost_n)):
+                raise ConvergenceError(
+                    "line search could not reduce J after 20 halvings")
         stalled = cost - cost_n < FLOW_TOL * (1.0 + abs(cost_n))
         u, theta, cost = un, thn, cost_n
         energy, charge, e_field, lap = en, cn, fn, lapn

@@ -47,7 +47,7 @@ from qball.dynamics import (
     perturb,
     stability_probe,
     step,
-    _plain_distance,
+    _distance,
 )
 
 
@@ -297,8 +297,8 @@ def test_criterion_10_numerical_hygiene(spec, grid, profile_q5):
         return st
 
     ends = [advance(dt) for dt in (0.004, 0.002, 0.001)]
-    order_t = np.log2(_plain_distance(ends[0], ends[1])
-                      / _plain_distance(ends[1], ends[2]))
+    order_t = np.log2(_distance(ends[0], ends[1])
+                      / _distance(ends[1], ends[2]))
 
     # (c) quadrature self-convergence on an endpoint-active integrand
     vals = []

@@ -76,23 +76,23 @@ TINY_DIGESTS = {
     "threshold/threshold.txt":
         "3f5dffab54b95980c0ec7bd2afd068ec3611d0b1edb6f15444b6c678be4d4172",
     "solve/profile_omega0.7_q0.01.txt":
-        "d659d77695f171d2a7b32cbf285832ebb6706aa8161cceccb8f836f96009f1f8",
+        "ba5cb79613e11abac9f77a254db7113d84b2b2a38bc98329926e27d80f42380e",
     "solve/profile_omega0.8_q0.01.txt":
-        "b75d6d9935899b92bfc6ab28fa694cb4b0b44f7b079aad95b3a51fa7498432e2",
+        "7a52a6e33bb0358011275c2eb17810bd0e8447a082e945091f6d64811b84055e",
     "solve/solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "solve/sweep.csv":
-        "c34b5a8e813b42eba83d39b0849c97f37e4a54a220f60bfb195762fdfb4ae85b",
+        "eb673d58556fed4591b49353e8cf5c3a6e524e9e6e6904966544aec76aab469b",
     "evolve/evolve.txt":
-        "e7601516661bf4b03508341c423583a4424b62975d74ca22a865895b24426882",
+        "52614ecb7ae82208dbe1e7e0da280b9ce0ad951cefba3bd6eb39d5032f8af986",
     "evolve/trace_amplitude_eps0.01.csv":
-        "126a338eb5c47dc4876a2ffdd9ac074e3c59c2261573748232d27f53e065e83b",
+        "34f5ba93431ecc5516298be08aec534a1d21762400a9d0646c28237f38368cdd",
     "evolve/trace_noise_eps0.01.csv":
-        "fa4e54867d37c999573a564ec6b2a265301388d7f1c80c38d870fb5e9687eaf9",
+        "d03d66569305383da5ac9fed593bb96423083ce9fbd04d946eb064db7e419fb2",
     "evolve/trace_unperturbed.csv":
-        "df0263c08c69626577749066786dd54427d32dc76fc0846bc6d824ab4e45897e",
+        "8877886f5494726c7c127ec3e0c14dff3be97ec6f4d97c0780328f8438bbd5b0",
     "evolve/trace_velocity_eps0.01.csv":
-        "b2213e144d3daeec8dc8500ee526c64344dcabf4444724f048c603b2c1381512",
+        "1638d4326fc69ee3aed9f2441f0417c07a2e403db4ed37562a1767310eb3f687",
 }
 
 
@@ -716,13 +716,13 @@ def test_artifact_digests_frozen(tmp_path):
 # TINY_DIGESTS entry covers the descent route
 DELTA_DIGESTS = {
     "profile_delta0.0002_q0.01.txt":
-        "0ddcf2be8ea17f665dc46fe10e68d2708a603a264d0400a4063ee8e504a4d233",
+        "37de50fcefe815951a8497a0bac0d20d3732dce2b109e35edc87116f722a8030",
     "profile_omega0.8_q0.01.txt":
-        "b2ad071eef206b93ebe8ea21c9cb76b8a55376c145c5c431c82c8829f1d0ad87",
+        "2bdb166c1cb538cb0c577240b552b716a95be75d0baf5a013167989e378cbd0d",
     "solve.txt":
         "81f4bcf656e778ec8c247455d923a3173aa8cef89061cae174e37278dc7084ae",
     "sweep.csv":
-        "ac26b9b6bcffb686963663f2d6cad399583462ab28bf98c3367af9da23583a99",
+        "4258769654deaacde5a92e931651bacdf571d9ee4cb69e046defbc7e54abaa56",
 }
 
 

@@ -98,8 +98,10 @@ def test_functionals_decomposition(grid, rng):
     st_ = smooth_random_state(grid, rng)
     spec = default_potential()
     f = functionals(st_, spec)
-    mass = 0.5 * spec.m ** 2 * grid.integrate(st_.u ** 2)
-    assert f.energy == pytest.approx(f.quadratic + mass + f.nonlinear, rel=1e-10)
+    # E = ||.||^2 / 2 + int N(|u|): the norm has m^2 u^2 in place of 2 W(u)
+    nonlinear = grid.integrate(spec.n(np.abs(st_.u)))
+    assert f.energy == pytest.approx(0.5 * f.energy_norm_sq + nonlinear,
+                                     rel=1e-10)
     assert f.charge == pytest.approx(grid.integrate(st_.theta * st_.u),
                                      rel=1e-14, abs=1e-300)
 
@@ -366,14 +368,17 @@ def test_grid_caches_match_their_formulas(grid):
 
 
 def test_quadrature_second_order():
-    # fixed smooth state evaluated on a dr-halving triple; the boundary
-    # value is nonzero so plain second-order trapezoid behavior is visible
+    # fixed smooth state evaluated on a dr-halving triple; theta is
+    # nonzero at r_max so plain second-order trapezoid behavior is
+    # visible.  u vanishes there: the gradient term's last face reaches
+    # the zero ghost past r_max, so a u that did not would cost energy
+    # growing as 1/dr
     spec = default_potential()
     vals = []
     for n in (251, 501, 1001):
         g = RadialGrid(10.0, n)
         st_ = FieldState.zero(g)
-        st_.u = 1.0 / (1.0 + g.r)
+        st_.u = 1.0 / (1.0 + g.r) - 1.0 / (1.0 + g.r_max)
         st_.theta = 0.5 / (1.0 + g.r ** 2)
         vals.append(functionals(st_, spec).energy)
     e1, e2, e3 = vals

@@ -135,20 +135,28 @@ def test_energy_terms(grid, spec):
     p = TestStateParams(s_bar=1.0, alpha=0.25, R=10.0, q=0.01)
     state = build_test_state(p, grid)
     theta_term = 0.5 * grid.integrate(state.theta ** 2)
-    du = grid.d_dr(state.u)
-    grad_term = 0.5 * grid.integrate(du * du)
+    # the face form: 4 pi r_{i+1/2}^2 dr ((u_{i+1} - u_i)/dr)^2 on every
+    # face, the last one to the ghost u = 0 past r_max
+    r_face = grid.r + 0.5 * grid.dr
+    du = np.append(state.u[1:], 0.0) - state.u
+    grad_term = 0.5 * np.sum(FOUR_PI * r_face ** 2 * grid.dr
+                             * (du / grid.dr) ** 2)
     pot_term = grid.integrate(spec.w(state.u))
-    coul_term = 0.5 * grid.integrate(state.E_r ** 2)
+    # the field on the grid plus the Coulomb field Q/r^2 outside r_max
+    charge_out = grid.r_max ** 2 * state.E_r[-1]
+    coul_term = (0.5 * grid.integrate(state.E_r ** 2)
+                 + 0.5 * FOUR_PI * charge_out ** 2 / grid.r_max)
     assert theta_term == pytest.approx(ENERGY_TERMS_R10["theta"], rel=1e-4)
     assert pot_term == pytest.approx(ENERGY_TERMS_R10["pot"], rel=1e-4)
-    # centered differences flatten the two ramp corners, an O(dr) effect
+    # the two ramp corners fall between nodes, an O(dr) effect
     assert grad_term == pytest.approx(ENERGY_TERMS_R10["grad"], rel=1e-2)
     parts = theta_term + grad_term + pot_term + coul_term
     assert functionals(state, spec).energy == pytest.approx(parts, rel=1e-12)
-    # the closed form, with the field out to infinity
+    # the closed form, with the field out to infinity, as coul_term
     energy, _, coulomb = _trial_functionals(spec, p)
     coul = p.q ** 2 * coulomb
     assert coul == pytest.approx(ENERGY_TERMS_R10["coul"], rel=1e-9)
+    assert coul_term == pytest.approx(coul, rel=1e-6)
     assert energy + coul == pytest.approx(ENERGY_TERMS_R10["total"], rel=1e-9)
 
 

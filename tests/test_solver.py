@@ -35,17 +35,18 @@ from qball.solver import (
 # from adaptive continuum integration with bisection to 1e-12
 CONTINUUM_U0 = 0.5307916267822679
 
-# discrete fixed point on RadialGrid(40, 4000), frozen at first convergence
+# discrete fixed point on RadialGrid(40, 4000), frozen at first convergence;
+# E and Lambda (here and below) re-frozen with fields.energy_norm's energy
 NEUTRAL_U0 = 0.5307793252870213
-NEUTRAL_E = 12.557830250863631
+NEUTRAL_E = 12.55783454460396
 NEUTRAL_C = -13.765581515764033
-NEUTRAL_LAMBDA = 0.9122629680760445
+NEUTRAL_LAMBDA = 0.9122632799952253
 
 # the coupled Newton's fixed point, at res1 5e-12 and res2 9e-13
 CHARGED_Q = 0.02
 CHARGED_U0 = 0.5310527050124083
-CHARGED_E = 12.568210101707354
-CHARGED_LAMBDA = 0.9122363950807411
+CHARGED_E = 12.568289927126626
+CHARGED_LAMBDA = 0.9122421890364538
 
 # descent minimizer of E/|C| + delta E^2 at delta = 2e-4, q = 1e-3
 FLOW_DELTA = 2e-4
@@ -249,6 +250,25 @@ def test_charged_profile_reference(charged_profile, neutral_profile):
     # the gauge field costs energy and slightly reshapes the profile
     assert p.E > neutral_profile.E
     assert p.u0 > neutral_profile.u0
+
+
+@pytest.mark.parametrize("q", [0.0, CHARGED_Q, 0.1])
+@pytest.mark.parametrize("omega", [0.6, 0.8])
+def test_energy_slope_along_the_family_is_minus_omega(spec, grid, omega, q):
+    # dE/dQ = omega (Friedberg, Lee and Sirlin 1976; Gulamov, Nugaev and
+    # Smolyakov 2014 for gauged Q-balls), C = -Q here.  E is the energy
+    # whose stationary points the Newton finds, so the central difference
+    # quotient's defect is its own O(h^2) error; an E that dropped the
+    # exterior Coulomb term or squared another gradient stalled at up to
+    # 8.3e-4, unmoved by h
+    center = solve_profile(spec, omega, q, grid)
+    defect = []
+    for h in (4e-4, 2e-4):
+        lo, hi = (solve_profile(spec, omega + s * h, q, grid,
+                                init_u=center.state.u) for s in (-1, 1))
+        defect.append(abs((hi.E - lo.E) / (hi.C - lo.C) + omega))
+    print(q, omega, defect)
+    assert defect[1] <= defect[0] / 3.0
 
 
 @pytest.mark.parametrize("spec, omega, q", [
